@@ -5,6 +5,10 @@ Enumerates every nonempty subset of the punctured radius-2 ball of F(2)
 with at most three elements, runs the sign-assignment decider and the
 truncated-order decider on each, and reports agreement and timing. Use
 --max-size / --radius to grow the family (runtime climbs quickly).
+
+The truncated-order decider indexes the l-ball once per rank and radius
+and closes cones of integers semi-naively, re-closing each branch from
+its one adjoined element; the sign search takes most of the time here.
 """
 
 import argparse

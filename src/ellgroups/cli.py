@@ -31,7 +31,28 @@ class BadCombination(Exception):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    except ValueError:
+        # an integer too long for the interpreter's decimal conversion
+        # limit, such as a count of 2**m sign assignments
+        text = json.dumps(_hex_long_ints(doc), sort_keys=True)
+    print(text)
+
+
+def _hex_long_ints(x):
+    """The document with every integer that has no decimal string under
+    the interpreter's limit written as a hexadecimal string instead."""
+    if isinstance(x, dict):
+        return {k: _hex_long_ints(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_hex_long_ints(v) for v in x]
+    if isinstance(x, int):
+        try:
+            str(x)
+        except ValueError:
+            return hex(x)
+    return x
 
 
 def _word_list(words) -> list[str]:
@@ -366,7 +387,14 @@ def run_certificate_check(args) -> int:
     try:
         doc = json.loads(text)
         tree, system = derivation.tree_from_json(doc, oracle)
-    except (json.JSONDecodeError, terms.ParseError, KeyError, ValueError) as exc:
+    except (
+        json.JSONDecodeError,
+        terms.ParseError,
+        KeyError,
+        ValueError,
+        TypeError,  # a value of the wrong JSON type, such as a list for a node
+        AttributeError,
+    ) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -18,7 +18,9 @@ of e strictly down along every join member.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -28,6 +30,7 @@ from .words import (
     DifferenceClass,
     Word,
     ball,
+    ball_letters,
     difference_classes,
     initial_subterms,
 )
@@ -179,6 +182,13 @@ def _add_edges(
     return reach
 
 
+def _has_inverse_pair(join: frozenset[Word]) -> bool:
+    # some w and w^-1 both in the join (w = e included): the quotient of
+    # the prefix pair (w, e) is then forced both ways, so every sign
+    # assignment is cyclic; O(|join|), before the O(n^2) class table
+    return any(w.inverse() in join for w in join)
+
+
 def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
     """Decide validity of e <= join in all lattice-ordered groups.
 
@@ -188,16 +198,16 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
     assignment wins; subtrees whose partial orientation already contains
     a cycle are skipped, which cannot change the outcome or the witness.
     ``assignments_checked`` counts complete assignments covered, so it
-    matches plain exhaustive enumeration.
+    matches plain exhaustive enumeration. A join holding some w and w^-1
+    (e included) is valid with no assignment checked, and its difference
+    system is never built.
     """
     join = frozenset(join)
     if not join:
         raise ValueError("empty join set")
-    if IDENTITY in join:
+    if _has_inverse_pair(join):
         return LgValid(assignments_checked=0)
     sys = build_difference_system(join)
-    if sys.immediately_cyclic:
-        return LgValid(assignments_checked=0)
 
     index = {w: i for i, w in enumerate(sys.nodes)}
     edges = _class_edges(sys, index)
@@ -266,11 +276,9 @@ def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid
     join = frozenset(join)
     if not join:
         raise ValueError("empty join set")
-    if IDENTITY in join:
+    if _has_inverse_pair(join):
         return LgValid(assignments_checked=0)
     sys = build_difference_system(join)
-    if sys.immediately_cyclic:
-        return LgValid(assignments_checked=0)
     free = [i for i, cls in enumerate(sys.classes) if cls.forced_sign is None]
     checked = 0
     for choice in itertools.product((1, -1), repeat=len(free)):
@@ -298,20 +306,106 @@ class TruncatedRightOrder:
     positives: frozenset[Word]
 
 
+class _BallIndex:
+    """The l-ball of F(k) numbered in ascending word order, e first.
+
+    Cones over the ball are sets of these numbers; products are taken on
+    the letter tuples, so no Word is built while a cone is closed.
+    """
+
+    def __init__(self, k: int, l: int) -> None:
+        self.l = l
+        self.letters = tuple(ball_letters(k, l))
+        self.words = tuple(map(Word, self.letters))
+        self.position = {t: i for i, t in enumerate(self.letters)}
+        self.inverse = tuple(
+            self.position[tuple(map(operator.neg, t[::-1]))] for t in self.letters
+        )
+        # the (l-1)-ball is a prefix, since words sort by length first
+        self.interior = sum(1 for t in self.letters if len(t) < l)
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_index(k: int, l: int) -> _BallIndex:
+    return _BallIndex(k, l)
+
+
+def _product(a: tuple, b: tuple, l: int, position: dict) -> int:
+    # index of the reduced product of letter tuples a and b, or -1 when
+    # it is longer than l
+    n, m = len(a), len(b)
+    c = 0
+    while c < n and c < m and a[n - 1 - c] == -b[c]:
+        c += 1
+    if n + m - 2 * c > l:
+        return -1
+    return position[a[: n - c] + b[c:]]
+
+
+def _close(
+    ix: _BallIndex,
+    cone: Iterable[int],
+    delta: Iterable[int],
+    outside: Sequence[tuple] = (),
+    stop_at_identity: bool = False,
+) -> set[int]:
+    """The closure of a product-closed cone with delta adjoined.
+
+    Semi-naive: each round multiplies only the elements new in the last
+    round, in both orders, against the cone and the outside words (letter
+    tuples longer than l, which take part in products but are not
+    indexed). With stop_at_identity the closure ends, unfinished, as soon
+    as e enters the cone.
+    """
+    letters, position, l = ix.letters, ix.position, ix.l
+    cone = set(cone)
+    delta = set(delta) - cone
+    while delta:
+        cone |= delta
+        if stop_at_identity and 0 in cone:
+            break
+        fresh = set()
+        # e is left out: its products add nothing
+        others = [letters[x] for x in cone if x]
+        others += outside
+        for d in delta:
+            if not d:
+                continue
+            a = letters[d]
+            short = l - len(a)
+            head, tail = -a[-1], -a[0]
+            for b in others:
+                # a product longer than l stays in the ball only if its
+                # seam cancels
+                if len(b) <= short or b[0] == head:
+                    p = _product(a, b, l, position)
+                    if p >= 0 and p not in cone:
+                        fresh.add(p)
+                if len(b) <= short or b[-1] == tail:
+                    p = _product(b, a, l, position)
+                    if p >= 0 and p not in cone:
+                        fresh.add(p)
+        delta = fresh
+    return cone
+
+
 def product_closure_in_ball(words: Iterable[Word], l: int) -> frozenset[Word]:
-    """Least superset closed under reduced products of length <= l."""
-    current = set(words)
-    while True:
-        snapshot = sorted(current)
-        added = False
-        for a in snapshot:
-            for b in snapshot:
-                c = a * b
-                if len(c) <= l and c not in current:
-                    current.add(c)
-                    added = True
-        if not added:
-            return frozenset(current)
+    """Least superset closed under reduced products of length <= l.
+
+    Words longer than l are kept and take part in products that land back
+    in the l-ball. The cost grows with the size of the l-ball over the
+    generators that occur in the input.
+    """
+    words = frozenset(words)
+    if l < 0:
+        return words
+    k = max((abs(x) for w in words for x in w.letters), default=1)
+    ix = _ball_index(k, l)
+    outside = tuple(w.letters for w in words if len(w) > l)
+    products = (_product(a, b, l, ix.position) for a in outside for b in outside)
+    start = [ix.position[w.letters] for w in words if len(w) <= l]
+    cone = _close(ix, (), start + [p for p in products if p >= 0], outside)
+    return frozenset(ix.words[i] for i in cone) | {w for w in words if len(w) > l}
 
 
 def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
@@ -323,28 +417,39 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
     time. A branch containing e is dead. Returns a full truncated order
     on success, None when every branch dies (no right order extends the
     input). The empty set extends trivially.
+
+    The l-ball is indexed once per (k, l). A branch copies its parent's
+    cone, which is already closed, and re-closes it from the one adjoined
+    element only, stopping as soon as e enters. Raises ValueError on a
+    word with a letter outside F(k).
     """
     start = frozenset(words)
+    for w in start:
+        if any(abs(x) > k for x in w.letters):
+            raise ValueError(f"{w} is not a word of F({k})")
     l = max(1, max((len(w) for w in start), default=1))
-    interior = sorted(w for w in ball(k, l - 1) if w != IDENTITY)
-
-    def extend(current: frozenset[Word]) -> Optional[frozenset[Word]]:
-        if IDENTITY in current:
-            return None
-        for t in interior:
-            if t not in current and t.inverse() not in current:
-                for candidate in (t, t.inverse()):
-                    closed = product_closure_in_ball(current | {candidate}, l)
-                    result = extend(closed)
-                    if result is not None:
-                        return result
+    ix = _ball_index(k, l)
+    inverse = ix.inverse
+    indices = [ix.position[w.letters] for w in start]
+    cone = _close(ix, (), indices, stop_at_identity=True)
+    # the (parent cone, t) of every branch whose negative side, t^-1, is
+    # still to be tried
+    pending: list[tuple[set[int], int]] = []
+    t = 1
+    while True:
+        if 0 in cone:
+            if not pending:
                 return None
-        return current
-
-    result = extend(product_closure_in_ball(start, l))
-    if result is None:
-        return None
-    return TruncatedRightOrder(rank=k, l=l, positives=result)
+            parent, t = pending.pop()
+            cone = _close(ix, parent, (inverse[t],), stop_at_identity=True)
+            continue
+        while t < ix.interior and (t in cone or inverse[t] in cone):
+            t += 1
+        if t == ix.interior:
+            positives = frozenset(ix.words[i] for i in cone)
+            return TruncatedRightOrder(rank=k, l=l, positives=positives)
+        pending.append((cone, t))
+        cone = _close(ix, cone, (t,), stop_at_identity=True)
 
 
 class WitnessError(RuntimeError):

@@ -158,22 +158,24 @@ def difference_classes(words: Iterable[Word]) -> list[DifferenceClass]:
     ]
 
 
-def ball(k: int, radius: int) -> frozenset[Word]:
-    """All reduced words of length at most ``radius`` over k generators."""
+def ball_letters(k: int, radius: int) -> list[tuple[int, ...]]:
+    """Letter tuples of all reduced words of length at most ``radius`` over
+    k generators, in ascending word order (no Word is built or compared)."""
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    out = [IDENTITY]
-    frontier = [IDENTITY]
+    # extending each word of a length, in order, by the letters in order
+    # gives the next length in order
+    letters = [l for g in range(1, k + 1) for l in (g, -g)]
+    level: list[tuple[int, ...]] = [()]
+    out = [()]
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            last = w.letters[-1] if w.letters else 0
-            for g in range(1, k + 1):
-                for l in (g, -g):
-                    if l != -last:
-                        nxt.append(Word(w.letters + (l,)))
-        out.extend(nxt)
-        frontier = nxt
-    return frozenset(out)
+        level = [w + (l,) for w in level for l in letters if not w or w[-1] != -l]
+        out += level
+    return out
+
+
+def ball(k: int, radius: int) -> frozenset[Word]:
+    """All reduced words of length at most ``radius`` over k generators."""
+    return frozenset(map(Word, ball_letters(k, radius)))

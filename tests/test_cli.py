@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ellgroups.cli import (
     EXIT_BAD_COMBINATION,
@@ -169,6 +172,27 @@ class TestDecide:
         _, doc2 = run_json(capsys, *argv)
         assert strip_millis(doc1) == strip_millis(doc2)
 
+    def test_count_past_decimal_limit(self):
+        # 2**m sign assignments over m ~ 3,600 free classes, past the
+        # interpreter's lowest integer-to-string limit of 640 digits (the
+        # default 4,300 digits is passed with eight such factors)
+        statement = "e <= " + "*".join([r"(x\/x^-1)", r"(y\/y^-1)"] * 3)
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+        docs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ellgroups", "decide", statement],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            docs.append(strip_millis(json.loads(proc.stdout)))
+        assert docs[0] == docs[1]
+        assert docs[0]["verdict"] == "valid"
+        count = int(docs[0]["stats"]["assignments"], 16)
+        assert count.bit_length() > 2200 and count & (count - 1) == 0
+
 
 class TestExtendRight:
     def test_extendable(self, capsys):
@@ -245,6 +269,16 @@ class TestCertificateCheck:
             main(["certificate", "check", "--group", "free:2", str(path)])
             == EXIT_PARSE
         )
+
+    @pytest.mark.parametrize("text", ["[]", "null", '{"system": 3}'])
+    def test_malformed_document(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out = run(
+            capsys, "certificate", "check", "--group", "free:2", str(path)
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
 
 
 class TestCorpus:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from ellgroups.rightorder import (
     find_bifurcation,
     product_closure_in_ball,
 )
-from ellgroups.words import IDENTITY, ball, initial_subterms
+from ellgroups import rightorder
+from ellgroups.words import IDENTITY, ball, initial_subterms, render_word, word
 
 
 def W(s, k=2):
@@ -41,6 +43,38 @@ def small_family(max_size=3):
     for r in range(1, max_size + 1):
         out.extend(frozenset(c) for c in itertools.combinations(elems, r))
     return out
+
+
+def naive_closure(words, l):
+    # word-level fixpoint: every pair of the current set, until nothing new
+    current = set(words)
+    while True:
+        added = {c for a in current for b in current if len(c := a * b) <= l}
+        if added <= current:
+            return frozenset(current)
+        current |= added
+
+
+def naive_clay_smith(words, k):
+    # truncated search on Words, fully re-closing every branch
+    start = frozenset(words)
+    l = max(1, max((len(w) for w in start), default=1))
+    interior = sorted(w for w in ball(k, l - 1) if w != IDENTITY)
+
+    def extend(current):
+        if IDENTITY in current:
+            return None
+        for t in interior:
+            if t not in current and t.inverse() not in current:
+                for candidate in (t, t.inverse()):
+                    result = extend(naive_closure(current | {candidate}, l))
+                    if result is not None:
+                        return result
+                return None
+        return current
+
+    result = extend(naive_closure(start, l))
+    return None if result is None else TruncatedRightOrder(k, l, result)
 
 
 def check_truncated_invariants(t: TruncatedRightOrder):
@@ -144,6 +178,21 @@ class TestDecideValidLg:
         assert isinstance(verdict, LgValid)
         assert verdict.assignments_checked == 0
 
+    def test_inverse_pair_decided_before_class_table(self, monkeypatch):
+        rng = random.Random(23)
+        pool = sorted(w for w in ball(2, 5) if len(w) == 5)
+        join = frozenset(rng.sample(pool, 126))
+        w = next(w for w in pool if w not in join and w.inverse() not in join)
+        join |= {w, w.inverse()}
+        assert len(join) == 128
+
+        def no_table(_):
+            raise AssertionError("class table built")
+
+        monkeypatch.setattr(rightorder, "build_difference_system", no_table)
+        for decide in (decide_valid_lg, decide_valid_lg_bruteforce):
+            assert decide(join) == LgValid(assignments_checked=0)
+
     def test_empty_join_rejected(self):
         with pytest.raises(ValueError):
             decide_valid_lg(frozenset())
@@ -225,6 +274,62 @@ class TestProductClosure:
             W("x*x"),
             W("x*x*x"),
         }
+
+
+class TestKernelEquivalence:
+    """The indexed ball kernel against the word-level oracles above."""
+
+    def test_radius_two_family(self):
+        for S in small_family():
+            assert clay_smith(S, 2) == naive_clay_smith(S, 2), sorted(map(str, S))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_radius_three_samples(self, k):
+        rng = random.Random(300 + k)
+        pool = sorted(w for w in ball(k, 3) if w != IDENTITY)
+        for _ in range(20):
+            S = frozenset(rng.sample(pool, rng.randint(1, 3)))
+            assert clay_smith(S, k) == naive_clay_smith(S, k), sorted(map(str, S))
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.integers(1, k).flatmap(lambda g: st.sampled_from((g, -g))),
+                    max_size=5,
+                ),
+                max_size=4,
+            )
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_product_closure_matches_oracle(self, letter_lists, l):
+        # words longer than l are kept and multiply back into the ball
+        S = frozenset(word(letters) for letters in letter_lists)
+        assert product_closure_in_ball(S, l) == naive_closure(S, l)
+
+    def test_long_words_multiply_back_into_ball(self):
+        S = words("x*x*y, y^-1*x^-1")
+        closed = product_closure_in_ball(S, 2)
+        assert W("x*x*y") in closed and W("x") in closed
+        assert closed == naive_closure(S, 2)
+
+    def test_length_six_word_pinned(self):
+        # recorded from the word-level implementation (57 s there)
+        t = clay_smith({W("x*y*x*y*x*y")}, 2)
+        assert (t.rank, t.l, len(t.positives)) == (2, 6, 714)
+        listing = ",".join(render_word(w) for w in sorted(t.positives))
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "d0a6c9f983b34faf843e20103b6b701334283653ae554668d7db4c7a49878a37"
+        )
+        check_truncated_invariants(t)
+
+    def test_letters_outside_rank_rejected(self):
+        with pytest.raises(ValueError):
+            clay_smith({W("z", 3)}, 2)
+        with pytest.raises(ValueError):
+            clay_smith(words("x, y"), 1)
 
 
 class TestClaySmith:
