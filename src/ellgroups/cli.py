@@ -9,6 +9,7 @@ under --strict, 4 for an invalid method/group combination.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -377,6 +378,12 @@ def run_extend_right(args) -> int:
     return EXIT_OK
 
 
+def _too_deep() -> int:
+    # the parser and the checker recurse once per level of the document
+    print("parse error: certificate nested too deeply", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def run_certificate_check(args) -> int:
     oracle = groups.oracle_from_selector(args.group)
     if args.path == "-":
@@ -387,6 +394,8 @@ def run_certificate_check(args) -> int:
     try:
         doc = json.loads(text)
         tree, system = derivation.tree_from_json(doc, oracle)
+    except RecursionError:
+        return _too_deep()
     except (
         json.JSONDecodeError,
         terms.ParseError,
@@ -399,6 +408,8 @@ def run_certificate_check(args) -> int:
         return EXIT_PARSE
     try:
         derivation.check(tree, system, oracle)
+    except RecursionError:
+        return _too_deep()
     except derivation.CertificateError as exc:
         _emit({"accepted": False, "reason": str(exc)})
         return EXIT_FAIL
@@ -545,8 +556,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building costs far more than parsing
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

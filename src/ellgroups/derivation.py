@@ -16,6 +16,7 @@ T = conclusion.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -200,6 +201,7 @@ def bounded_closure_with_parents(
     closures (the result is then a deterministic under-approximation).
     """
     key = lambda g: element_sort_key(oracle, g)
+    multiply, length = oracle.multiply, oracle.length
     current = set(elements)
     parents: dict = {}
     older = sorted(current, key=key)
@@ -211,19 +213,14 @@ def bounded_closure_with_parents(
             break
         fresh_set = set(fresh)
         new: dict = {}
-
-        def consider(a, b):
-            c = oracle.multiply(a, b)
-            if oracle.length(c) <= radius and c not in current and c not in new:
+        pairs = itertools.chain(
+            itertools.product(older, fresh),
+            ((a, b) for a in fresh for b in older if b not in fresh_set),
+        )
+        for a, b in pairs:
+            c = multiply(a, b)
+            if length(c) <= radius and c not in current and c not in new:
                 new[c] = (a, b)
-
-        for a in older:
-            for b in fresh:
-                consider(a, b)
-        for a in fresh:
-            for b in older:
-                if b not in fresh_set:
-                    consider(a, b)
         parents.update(new)
         current.update(new)
         fresh = sorted(new, key=key)

@@ -19,6 +19,7 @@ presentations.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, NamedTuple, Optional
 
 from . import derivation
@@ -126,7 +127,7 @@ class IntLatticeOracle:
         return Word(tuple(letters))
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def invert(self, a):
         return tuple(-x for x in a)
@@ -135,7 +136,7 @@ class IntLatticeOracle:
         return all(x == 0 for x in a)
 
     def length(self, a) -> int:
-        return sum(abs(x) for x in a)
+        return sum(map(abs, a))
 
     def enumerate_ball(self, radius: int) -> list[tuple[int, ...]]:
         out = []

@@ -31,8 +31,9 @@ from .words import (
     Word,
     ball,
     ball_letters,
-    difference_classes,
+    difference_table,
     initial_subterms,
+    table_classes,
 )
 
 __all__ = [
@@ -96,33 +97,36 @@ class LgInvalid:
     nodes_explored: int = 0
 
 
+def _inverse_letters(t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-l for l in reversed(t))
+
+
+def _has_inverse_pair(join: frozenset[tuple[int, ...]]) -> bool:
+    # some w and w^-1 both in the join (w = e included): the quotient of
+    # the prefix pair (w, e) is then forced both ways, so every sign
+    # assignment is cyclic; O(|join|), before the O(n^2) class table
+    return any(_inverse_letters(w) in join for w in join)
+
+
+def _forced_signs(
+    base: frozenset[tuple[int, ...]], reps: Iterable[tuple[int, ...]]
+) -> list[Optional[int]]:
+    # per class, +1 when its representative lies in the base (given as
+    # letter tuples), else -1 when its inverse does
+    inverses = frozenset(map(_inverse_letters, base))
+    return [1 if r in base else -1 if r in inverses else None for r in reps]
+
+
 def build_difference_system(join: Iterable[Word]) -> DifferenceSystem:
     base = frozenset(join)
     if IDENTITY in base:
         raise ValueError("identity in the join set; validity is immediate")
-    classes = []
-    cyclic = False
-    for cls in difference_classes(base):
-        forced: Optional[int] = None
-        if cls.rep in base:
-            forced = 1
-        if cls.rep.inverse() in base:
-            if forced == 1:
-                cyclic = True
-            forced = forced or -1
-        classes.append(cls.with_forced_sign(forced))
-    nodes = tuple(sorted(initial_subterms(base)))
-    return DifferenceSystem(base, nodes, tuple(classes), cyclic)
-
-
-def _class_edges(
-    sys: DifferenceSystem, index: dict[Word, int]
-) -> list[tuple[tuple[int, int], ...]]:
-    # per class, the (u, v) node-index pairs meaning "a_u < a_v" under sign +1
-    out = []
-    for cls in sys.classes:
-        out.append(tuple((index[u], index[v]) for u, v in cls.oriented_pairs))
-    return out
+    letters = frozenset(w.letters for w in base)
+    table = difference_table(letters)
+    forced = _forced_signs(letters, table[1])
+    return DifferenceSystem(
+        base, *table_classes(table, forced), _has_inverse_pair(letters)
+    )
 
 
 def consistent(
@@ -163,30 +167,30 @@ def consistent(
     raise AssertionError("tournament with repeated scores but no 3-cycle")
 
 
-def _add_edges(
-    reach: list[int], edges: Iterable[tuple[int, int]]
-) -> Optional[list[int]]:
-    # reach[u] is the bitmask of nodes strictly reachable from u;
-    # returns the updated closure, or None if an edge closes a cycle
-    reach = list(reach)
-    n = len(reach)
-    for u, v in edges:
-        if (reach[v] >> u) & 1:
+def _column(n: int) -> int:
+    # bit 0 of every row of an n*n-bit matrix
+    return sum(1 << (w * n) for w in range(n))
+
+
+def _grow(
+    closure: int, n: int, column: int, pairs: Iterable[tuple[int, int]], sign: int
+) -> Optional[int]:
+    # closure is an n*n-bit matrix, bit u*n + v set when v is strictly
+    # reachable from u; returns it with the edges u -> v (v -> u for sign
+    # -1) of the pairs added and closed transitively, or None if an edge
+    # closes a cycle
+    row = (1 << n) - 1
+    for u, v in pairs:
+        if sign == -1:
+            u, v = v, u
+        if (closure >> (v * n + u)) & 1:
             return None
-        add = reach[v] | (1 << v)
-        if reach[u] | add == reach[u]:
-            continue
-        for w in range(n):
-            if w == u or (reach[w] >> u) & 1:
-                reach[w] |= add
-    return reach
-
-
-def _has_inverse_pair(join: frozenset[Word]) -> bool:
-    # some w and w^-1 both in the join (w = e included): the quotient of
-    # the prefix pair (w, e) is then forced both ways, so every sign
-    # assignment is cyclic; O(|join|), before the O(n^2) class table
-    return any(w.inverse() in join for w in join)
+        add = ((closure >> (v * n)) & row) | (1 << v)
+        # one bit per row for u and every node reaching u; the product
+        # copies add into each of those rows, without carries
+        sources = ((closure >> u) & column) | (1 << (u * n))
+        closure |= sources * add
+    return closure
 
 
 def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
@@ -201,74 +205,135 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
     matches plain exhaustive enumeration. A join holding some w and w^-1
     (e included) is valid with no assignment checked, and its difference
     system is never built.
+
+    The search runs on ``words.difference_table``: node indices, per class
+    its index pairs, and forced signs read off the join's letter tuples.
+    The partial order is one integer, an n*n-bit reachability matrix, and
+    each class's pairs are such a matrix too, one per orientation: a sign
+    whose reversed pairs meet the order closes a cycle, and one whose
+    pairs all lie in it adds nothing, so most levels cost two integer
+    tests. The search recurses only where both signs survive and walks on
+    in a loop elsewhere; after a large +1 subtree it drops the levels the
+    -1 order already settles, which it then passes without a test. It
+    counts the states it reaches; the counts of the plain recursion, which
+    tries +1 and then -1 at every state, follow from that number and the
+    leaf's signs. The Word-level ``DifferenceSystem`` is built only for an
+    ``LgInvalid``.
     """
     join = frozenset(join)
     if not join:
         raise ValueError("empty join set")
-    if _has_inverse_pair(join):
+    letters = frozenset(w.letters for w in join)
+    if _has_inverse_pair(letters):
         return LgValid(assignments_checked=0)
-    sys = build_difference_system(join)
-
-    index = {w: i for i, w in enumerate(sys.nodes)}
-    edges = _class_edges(sys, index)
-    n = len(sys.nodes)
-    forced = [
-        (i, cls.forced_sign)
-        for i, cls in enumerate(sys.classes)
-        if cls.forced_sign is not None
-    ]
-    free = [i for i, cls in enumerate(sys.classes) if cls.forced_sign is None]
+    table = difference_table(letters)
+    nodes, reps, edges = table
+    n = len(nodes)
+    forced_signs = _forced_signs(letters, reps)
+    forced = [(i, s) for i, s in enumerate(forced_signs) if s is not None]
+    free = [i for i, s in enumerate(forced_signs) if s is None]
     m = len(free)
 
-    nodes_explored = 0
-
-    def oriented(ci: int, sign: int) -> tuple[tuple[int, int], ...]:
-        if sign == 1:
-            return edges[ci]
-        return tuple((v, u) for u, v in edges[ci])
-
-    base: Optional[list[int]] = [0] * n
-    for ci, sign in forced:
-        nodes_explored += 1
-        base = _add_edges(base, oriented(ci, sign))
+    column = _column(n)
+    base: Optional[int] = 0
+    for tried, (ci, sign) in enumerate(forced, 1):
+        base = _grow(base, n, column, edges[ci], sign)
         if base is None:
-            break
-    if base is None:
-        return LgValid(assignments_checked=2**m, nodes_explored=nodes_explored)
+            return LgValid(assignments_checked=2**m, nodes_explored=tried)
 
-    signs = [cls.forced_sign or 0 for cls in sys.classes]
-    checked = 0
+    # per free class, its pairs as matrix bits, oriented +1 and -1
+    ups, downs = [], []
+    for ci in free:
+        up = down = 0
+        for u, v in edges[ci]:
+            up |= 1 << (u * n + v)
+            down |= 1 << (v * n + u)
+        ups.append(up)
+        downs.append(down)
+    states = 0  # search states visited: levels reached below m
 
-    def dfs(level: int, reach: list[int]) -> Optional[LgInvalid]:
-        nonlocal checked, nodes_explored
-        if level == m:
-            checked += 1
-            order = sorted(range(n), key=lambda i: -bin(reach[i]).count("1"))
-            return LgInvalid(
-                system=sys,
-                signs=tuple(signs),
-                order=tuple(sys.nodes[i] for i in order),
-                assignments_checked=checked,
-                nodes_explored=nodes_explored,
-            )
-        ci = free[level]
-        for sign in (1, -1):
-            nodes_explored += 1
-            nxt = _add_edges(reach, oriented(ci, sign))
-            if nxt is None:
-                checked += 2 ** (m - level - 1)
-                continue
-            signs[ci] = sign
-            found = dfs(level + 1, nxt)
-            if found is not None:
-                return found
-            signs[ci] = 0
+    def search(start: int, closure: int, levels: list[int]) -> Optional[int]:
+        # walks from level start on, branching where both signs survive;
+        # returns the order at the first leaf, or None. levels lists the
+        # levels from start on that the order had not settled when last
+        # filtered: a settled level adds nothing, so it is passed untested
+        nonlocal states
+        level = start
+        i = 0
+        while i < len(levels):
+            level = levels[i]
+            i += 1
+            up, down = ups[level], downs[level]
+            if closure & down:
+                if closure & up:
+                    break
+                if closure & down != down:
+                    closure = _grow(closure, n, column, edges[free[level]], -1)
+                    if closure is None:
+                        break
+            elif closure & up:
+                if closure & up != up:
+                    closure = _grow(closure, n, column, edges[free[level]], 1)
+                    if closure is None:
+                        break
+            else:
+                plus = _grow(closure, n, column, edges[free[level]], 1)
+                minus = _grow(closure, n, column, edges[free[level]], -1)
+                if plus is None:
+                    closure = minus
+                elif minus is None:
+                    closure = plus
+                else:
+                    before = states
+                    leaf = search(level + 1, plus, levels[i:])
+                    if leaf is not None:
+                        states += level + 1 - start
+                        return leaf
+                    closure = minus
+                    if states - before > len(levels) - i:
+                        # the +1 side outweighed a pass over the levels
+                        # left; drop those the -1 order settles
+                        levels = [
+                            l for l in levels[i:]
+                            if closure & ups[l] != ups[l] and closure & downs[l] != downs[l]
+                        ]
+                        i = 0
+                if closure is None:
+                    break
+        else:
+            states += m - start
+            return closure
+        states += level + 1 - start
         return None
 
-    found = dfs(0, base)
-    if found is not None:
-        return found
-    return LgValid(assignments_checked=checked, nodes_explored=nodes_explored)
+    leaf = search(0, base, list(range(m)))
+    if leaf is None:
+        # every state tried both signs; all 2**m assignments are covered
+        return LgValid(assignments_checked=2**m, nodes_explored=len(forced) + 2 * states)
+    # the leaf's order fixes every sign. Before the leaf, the search
+    # covered exactly the assignments that come first in +1-before--1
+    # order, and tried both signs at every state except where the leaf's
+    # path took +1, whose -1 it never reached
+    signs = [s or 0 for s in forced_signs]
+    checked = 1
+    for level, (ci, up) in enumerate(zip(free, ups)):
+        if leaf & up == up:
+            signs[ci] = 1
+        else:
+            signs[ci] = -1
+            checked += 1 << (m - level - 1)
+    pluses = sum(signs[ci] == 1 for ci in free)
+    # not immediately cyclic: that join returned valid above
+    sys = DifferenceSystem(join, *table_classes(table, forced_signs), False)
+    row = (1 << n) - 1
+    order = sorted(range(n), key=lambda i: -bin((leaf >> (i * n)) & row).count("1"))
+    return LgInvalid(
+        system=sys,
+        signs=tuple(signs),
+        order=tuple(sys.nodes[i] for i in order),
+        assignments_checked=checked,
+        nodes_explored=len(forced) + 2 * states - pluses,
+    )
 
 
 def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
@@ -276,7 +341,7 @@ def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid
     join = frozenset(join)
     if not join:
         raise ValueError("empty join set")
-    if _has_inverse_pair(join):
+    if _has_inverse_pair(frozenset(w.letters for w in join)):
         return LgValid(assignments_checked=0)
     sys = build_difference_system(join)
     free = [i for i, cls in enumerate(sys.classes) if cls.forced_sign is None]

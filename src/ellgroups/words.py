@@ -11,7 +11,8 @@ Generators render as x, y, z, then x4, x5, ...
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -21,9 +22,10 @@ def generator_name(index: int) -> str:
     return "xyz"[index - 1] if index <= 3 else f"x{index}"
 
 
-def _letter_key(letter: int) -> tuple[int, int]:
-    # generator index first; a plain letter sorts before its inverse
-    return (abs(letter), 0 if letter > 0 else 1)
+def _code(letter: int) -> int:
+    # letters as ints in word order: generator index first, a plain letter
+    # before its inverse
+    return 2 * letter if letter > 0 else 1 - 2 * letter
 
 
 @functools.total_ordering
@@ -53,7 +55,7 @@ class Word:
 
     @property
     def key(self) -> tuple:
-        return (len(self.letters), tuple(_letter_key(l) for l in self.letters))
+        return (len(self.letters), tuple(map(_code, self.letters)))
 
     def __lt__(self, other: "Word") -> bool:
         return self.key < other.key
@@ -81,13 +83,20 @@ def word(letters: Iterable[int]) -> Word:
 
 def concat_reduce(a: Word, b: Word) -> Word:
     """Product in the free group: concatenate and cancel at the seam."""
-    left = list(a.letters)
-    right = b.letters
-    i = 0
-    while left and i < len(right) and left[-1] == -right[i]:
-        left.pop()
-        i += 1
-    return Word(tuple(left) + right[i:])
+    left, right = a.letters, b.letters
+    if left and right and left[-1] == -right[0]:
+        n = len(left)
+        i, stop = 1, min(n, len(right))
+        while i < stop and left[n - 1 - i] == -right[i]:
+            i += 1
+        letters = left[: n - i] + right[i:]
+    else:
+        letters = left + right
+    # both sides are reduced and the seam no longer cancels, so the
+    # product is reduced: it skips the check of Word's constructor
+    product = object.__new__(Word)
+    object.__setattr__(product, "letters", letters)
+    return product
 
 
 def invert(a: Word) -> Word:
@@ -113,16 +122,6 @@ def initial_subterms(words: Iterable[Word]) -> frozenset[Word]:
     return frozenset(out)
 
 
-def canonical_pair_difference(u: Word, v: Word) -> tuple[Word, tuple[Word, Word]]:
-    """For distinct u, v return (rep, oriented pair) with rep the smaller of
-    u*v^-1 and its inverse, and the pair ordered so that pair[0]*pair[1]^-1 == rep."""
-    d = concat_reduce(u, v.inverse())
-    dinv = d.inverse()
-    if dinv < d:
-        return dinv, (v, u)
-    return d, (u, v)
-
-
 @dataclass(frozen=True)
 class DifferenceClass:
     """Pairs of initial subterms sharing one quotient up to inversion.
@@ -135,8 +134,65 @@ class DifferenceClass:
     oriented_pairs: tuple[tuple[Word, Word], ...]
     forced_sign: Optional[int] = None
 
-    def with_forced_sign(self, sign: Optional[int]) -> "DifferenceClass":
-        return replace(self, forced_sign=sign)
+
+def difference_table(
+    words: Iterable[tuple[int, ...]],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """The difference classes of a join given as letter tuples, on indices.
+
+    Returns the initial subterms (e included) as letter tuples in ascending
+    word order, the class representatives in ascending order, and for each
+    class its sorted (i, j) node-index pairs with nodes[i] * nodes[j]^-1
+    equal to the representative. No Word is built.
+
+    For nodes u = p*s and v = q*s with s their longest common suffix,
+    u*v^-1 = p*q^-1 is already reduced, and so is its inverse q*p^-1, of
+    the same length; the smaller of the two, compared letterwise on codes
+    precomputed for each node and its inverse, is the representative.
+    """
+    prefixes = {()}
+    for w in words:
+        prefixes.update(w[:i] for i in range(1, len(w) + 1))
+    keyed = sorted((len(t), tuple(map(_code, t)), t) for t in prefixes)
+    nodes = [t for _, _, t in keyed]
+    codes = [c for _, c, _ in keyed]
+    inverse_codes = [tuple(_code(-l) for l in reversed(t)) for t in nodes]
+    by_rep: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
+    rows = list(zip(range(len(nodes)), nodes, codes, inverse_codes))
+    for i, u, u_code, u_inverse in rows:
+        nu = len(u)
+        for j, v, v_code, v_inverse in rows[i + 1 :]:
+            # c counts the common suffix; u sorts first, so it is not longer
+            c = 0
+            while c < nu and u[nu - 1 - c] == v[-1 - c]:
+                c += 1
+            d = u_code[: nu - c] + v_inverse[c:]
+            d_inverse = v_code[: len(v) - c] + u_inverse[c:]
+            if d_inverse < d:
+                by_rep[d_inverse].append((j, i))
+            else:
+                by_rep[d].append((i, j))
+    reps = sorted(by_rep, key=lambda r: (len(r), r))
+    letter = {_code(l): l for t in nodes for x in t for l in (x, -x)}.__getitem__
+    return (
+        nodes,
+        [tuple(map(letter, r)) for r in reps],
+        [sorted(by_rep[r]) for r in reps],
+    )
+
+
+def table_classes(
+    table: tuple[list, list, list], forced: Iterable[Optional[int]]
+) -> tuple[tuple[Word, ...], tuple[DifferenceClass, ...]]:
+    """The nodes and classes of a difference table as Words, each class
+    with its forced sign."""
+    nodes, reps, pairs = table
+    words = tuple(map(Word, nodes))
+    classes = tuple(
+        DifferenceClass(Word(rep), tuple((words[i], words[j]) for i, j in cls), sign)
+        for rep, cls, sign in zip(reps, pairs, forced)
+    )
+    return words, classes
 
 
 def difference_classes(words: Iterable[Word]) -> list[DifferenceClass]:
@@ -144,18 +200,11 @@ def difference_classes(words: Iterable[Word]) -> list[DifferenceClass]:
 
     For each unordered pair {u, v} of distinct prefixes, the quotient
     u*v^-1 (suitably oriented) lands in exactly one class. Classes come
-    back sorted by representative.
+    back sorted by representative, pairs by node order. A thin wrapper
+    building Words from ``difference_table``.
     """
-    nodes = sorted(initial_subterms(words))
-    by_rep: dict[Word, list[tuple[Word, Word]]] = {}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            rep, pair = canonical_pair_difference(u, v)
-            by_rep.setdefault(rep, []).append(pair)
-    return [
-        DifferenceClass(rep, tuple(sorted(by_rep[rep], key=lambda p: (p[0].key, p[1].key))))
-        for rep in sorted(by_rep)
-    ]
+    table = difference_table(w.letters for w in words)
+    return list(table_classes(table, [None] * len(table[1]))[1])
 
 
 def ball_letters(k: int, radius: int) -> list[tuple[int, ...]]:

@@ -270,6 +270,31 @@ class TestCertificateCheck:
             == EXIT_PARSE
         )
 
+    def test_deep_certificate(self, capsys, tmp_path):
+        # a valid certificate whose every product node keeps the conclusion
+        # {x, x^-1, x^-2}, splitting x^-1 as x^-2 * x over a leaf premise
+        conclusion = '"conclusion": ["x", "x^-1", "x^-1*x^-1"]'
+        leaf = (
+            "{" + conclusion + ', "rule": "leaf", "data": {"element": "x"},'
+            ' "children": []}'
+        )
+        head = (
+            "{" + conclusion + ', "rule": "product", "data": {"element": "x^-1",'
+            ' "left": "x^-1*x^-1", "right": "x"}, "children": ['
+        )
+        path = tmp_path / "deep.json"
+        for depth, expected in ((50, EXIT_OK), (600, EXIT_PARSE)):
+            body = head * depth + leaf + (", " + leaf + "]}") * depth
+            path.write_text('{"system": "S", ' + body[1:])
+            code = main(["certificate", "check", "--group", "free:2", str(path)])
+            captured = capsys.readouterr()
+            assert code == expected, captured.err
+            if expected == EXIT_PARSE:
+                assert captured.out == ""
+                assert "nested too deeply" in captured.err
+            else:
+                assert json.loads(captured.out)["accepted"] is True
+
     @pytest.mark.parametrize("text", ["[]", "null", '{"system": 3}'])
     def test_malformed_document(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -307,6 +332,33 @@ class TestCorpus:
         code, out = run(capsys, "corpus", str(path))
         assert code == EXIT_PARSE
         assert "line 1" in out
+
+
+class TestRepeatedCalls:
+    # the flags of one call must not carry over into the next
+    ARGVS = [
+        ("decide", "--budget-ms", "0", "--strict", r"e <= x*x \/ y*y \/ x^-1*y^-1"),
+        ("decide", "--budget-ms", "0", r"e <= x*x \/ y*y \/ x^-1*y^-1"),
+        ("decide", r"e <= x*x \/ y*y \/ x^-1*y^-1"),
+        ("decide", "--method", "truncated", r"e <= x*x \/ x*y \/ y*x^-1"),
+        ("decide", "--variety", "rg", "--max-depth", "3", r"e <= x \/ y*x^-1*y^-1"),
+        ("extend-right", "--group", "zn:2", "{x, y}"),
+        ("extend-right", "{x*x, x*y, y*x^-1}"),
+    ]
+
+    def test_successive_calls_match_fresh_processes(self, capsys):
+        in_process = [run(capsys, *argv) for argv in self.ARGVS]
+        assert [code for code, _ in in_process[:3]] == [EXIT_BUDGET, EXIT_OK, EXIT_OK]
+        for argv, (code, out) in zip(self.ARGVS, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ellgroups", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert code == proc.returncode, argv
+            assert strip_millis(json.loads(out)) == strip_millis(
+                json.loads(proc.stdout)
+            ), argv
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ellgroups.terms import parse_group_word
 from ellgroups.rightorder import (
     Acyclic,
     Cycle,
+    DifferenceSystem,
     LgInvalid,
     LgValid,
     PLAutomorphism,
@@ -26,7 +28,14 @@ from ellgroups.rightorder import (
     product_closure_in_ball,
 )
 from ellgroups import rightorder
-from ellgroups.words import IDENTITY, ball, initial_subterms, render_word, word
+from ellgroups.words import (
+    IDENTITY,
+    ball,
+    difference_classes,
+    initial_subterms,
+    render_word,
+    word,
+)
 
 
 def W(s, k=2):
@@ -330,6 +339,148 @@ class TestKernelEquivalence:
             clay_smith({W("z", 3)}, 2)
         with pytest.raises(ValueError):
             clay_smith(words("x, y"), 1)
+
+
+def word_level_system(join):
+    # forced signs read off Words, over the classes (checked against the
+    # word-level construction in test_words.py)
+    base = frozenset(join)
+    classes = []
+    for cls in difference_classes(base):
+        forced = 1 if cls.rep in base else -1 if cls.rep.inverse() in base else None
+        classes.append(replace(cls, forced_sign=forced))
+    cyclic = any(w.inverse() in base for w in base)
+    nodes = tuple(sorted(initial_subterms(base)))
+    return DifferenceSystem(base, nodes, tuple(classes), cyclic)
+
+
+def random_joins(seed, count):
+    # 4-6 distinct reduced words of length 3-5 over F(2)
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2)
+    out = []
+    for _ in range(count):
+        join = set()
+        n = rng.randint(4, 6)
+        while len(join) < n:
+            w = []
+            for _ in range(rng.randint(3, 5)):
+                w.append(rng.choice([l for l in letters if not w or l != -w[-1]]))
+            join.add(word(w))
+        out.append(frozenset(join))
+    return out
+
+
+def plain_sign_search(join):
+    # the sign search as a plain recursion over the word-level system, the
+    # order kept as per-node reachability bitmasks and every node copying
+    # them; returns (valid, signs, order, assignments, nodes)
+    sys = build_difference_system(join)
+    index = {w: i for i, w in enumerate(sys.nodes)}
+    n = len(sys.nodes)
+    nodes = checked = 0
+
+    def add(reach, cls, sign):
+        reach = list(reach)
+        for a, b in cls.oriented_pairs:
+            u, v = (index[a], index[b]) if sign == 1 else (index[b], index[a])
+            if (reach[v] >> u) & 1:
+                return None
+            for w in range(n):
+                if w == u or (reach[w] >> u) & 1:
+                    reach[w] |= reach[v] | (1 << v)
+        return reach
+
+    reach = [0] * n
+    for cls in sys.classes:
+        if cls.forced_sign is not None:
+            nodes += 1
+            reach = add(reach, cls, cls.forced_sign)
+            if reach is None:
+                return True, None, None, None, nodes
+    free = [i for i, cls in enumerate(sys.classes) if cls.forced_sign is None]
+    signs = [cls.forced_sign or 0 for cls in sys.classes]
+
+    def dfs(level, reach):
+        nonlocal nodes, checked
+        if level == len(free):
+            checked += 1
+            order = sorted(range(n), key=lambda i: -bin(reach[i]).count("1"))
+            return tuple(signs), tuple(sys.nodes[i] for i in order)
+        for sign in (1, -1):
+            nodes += 1
+            nxt = add(reach, sys.classes[free[level]], sign)
+            if nxt is None:
+                checked += 2 ** (len(free) - level - 1)
+                continue
+            signs[free[level]] = sign
+            found = dfs(level + 1, nxt)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs(0, reach)
+    if found is None:
+        return True, None, None, checked, nodes
+    return (False, *found, checked, nodes)
+
+
+def product_of_absolutes(factors):
+    # the join of e <= |a|*|b|*|c|: every product a^±1 * b^±1 * c^±1
+    out = set()
+    for signs in itertools.product((1, -1), repeat=len(factors)):
+        p = IDENTITY
+        for f, s in zip(factors, signs):
+            p = p * (f if s == 1 else f.inverse())
+        out.add(p)
+    return frozenset(out)
+
+
+class TestSignKernel:
+    """The sign search on the indexed difference table."""
+
+    def test_search_matches_plain_recursion(self):
+        # products of absolute values: valid, with long searches where most
+        # levels have one sign ruled out; and random joins, mostly invalid
+        rng = random.Random(63)
+        short = sorted(w for w in ball(2, 2) if w != IDENTITY)
+        family = [product_of_absolutes(rng.sample(short, 3)) for _ in range(12)]
+        family += random_joins(64, 60)
+        # a join holding some w and w^-1 is decided before any search
+        family = [S for S in family if not any(w.inverse() in S for w in S)]
+        long_searches = 0
+        for S in family:
+            valid, signs, order, assignments, nodes = plain_sign_search(S)
+            verdict = decide_valid_lg(S)
+            assert isinstance(verdict, LgValid) == valid, sorted(map(str, S))
+            assert verdict.nodes_explored == nodes, sorted(map(str, S))
+            if assignments is not None:
+                assert verdict.assignments_checked == assignments
+            if not valid:
+                assert (verdict.signs, verdict.order) == (signs, order)
+            long_searches += nodes > 1000
+        assert long_searches >= 3
+
+    def test_systems_match_word_level(self):
+        rng = random.Random(61)
+        family = small_family() + random_joins(62, 40)
+        pools = {k: sorted(w for w in ball(k, 3) if w != IDENTITY) for k in (2, 3)}
+        family += [frozenset(rng.sample(pools[k], 3)) for k in (2, 3) for _ in range(40)]
+        for S in family:
+            expected = word_level_system(S)
+            assert build_difference_system(S) == expected, sorted(map(str, S))
+            verdict = decide_valid_lg(S)
+            if isinstance(verdict, LgInvalid):
+                assert verdict.system == expected, sorted(map(str, S))
+
+    def test_verdicts_pinned(self):
+        # sha256 over repr of every verdict, recorded from the Word-level
+        # difference system the indexed table replaced
+        family = small_family() + random_joins(2024, 300)
+        text = "\n".join(repr(decide_valid_lg(S)) for S in family)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bfb27acea7f6bfb4efae13d86edd63e3665f55a499c263f91a29c0f888c1bce2"
+        )
 
 
 class TestClaySmith:

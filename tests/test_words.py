@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellgroups.words import (
     IDENTITY,
+    DifferenceClass,
     Word,
     ball,
     concat_reduce,
     difference_classes,
+    difference_table,
     initial_subterms,
     invert,
     render_word,
@@ -170,6 +173,69 @@ class TestDifferenceClasses:
         reps = {c.rep for c in difference_classes(words)}
         for rep in reps:
             assert rep.inverse() not in reps
+
+
+def word_level_difference_classes(words):
+    # the construction the indexed table replaced: the quotient of every
+    # pair of sorted prefixes through concat_reduce, oriented toward the
+    # smaller of d and d^-1, pairs sorted by word order
+    nodes = sorted(initial_subterms(words))
+    by_rep = {}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            d = concat_reduce(u, v.inverse())
+            rep, pair = (d.inverse(), (v, u)) if d.inverse() < d else (d, (u, v))
+            by_rep.setdefault(rep, []).append(pair)
+    return [
+        DifferenceClass(rep, tuple(sorted(by_rep[rep]))) for rep in sorted(by_rep)
+    ]
+
+
+def punctured_ball_subsets(k, radius, max_size):
+    elems = sorted(w for w in ball(k, radius) if w != IDENTITY)
+    return [
+        frozenset(c)
+        for r in range(1, max_size + 1)
+        for c in itertools.combinations(elems, r)
+    ]
+
+
+class TestDifferenceTable:
+    """The indexed table against the word-level construction above."""
+
+    def test_layout(self):
+        nodes, reps, pairs = difference_table([(1, 1)])
+        assert nodes == [(), (1,), (1, 1)]
+        assert reps == [(1,), (1, 1)]
+        assert pairs == [[(1, 0), (2, 1)], [(2, 0)]]
+
+    def test_words_never_built(self, monkeypatch):
+        def no_words(self):
+            raise AssertionError("Word built")
+
+        monkeypatch.setattr(Word, "__post_init__", no_words)
+        nodes, reps, pairs = difference_table([(1, -2, 1), (2, 2, -1)])
+        assert len(nodes) == 7 and sum(map(len, pairs)) == 21
+
+    def test_radius_two_family(self):
+        for S in punctured_ball_subsets(2, 2, 3):
+            assert difference_classes(S) == word_level_difference_classes(S), S
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_radius_three_samples(self, k):
+        rng = random.Random(40 + k)
+        family = punctured_ball_subsets(k, 3, 2)
+        for S in rng.sample(family, 300):
+            assert difference_classes(S) == word_level_difference_classes(S), S
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.sets(reduced_words(k, max_len=5), min_size=1, max_size=6)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_joins(self, words):
+        assert difference_classes(words) == word_level_difference_classes(words)
 
 
 class TestBall:
