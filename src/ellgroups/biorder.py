@@ -50,6 +50,7 @@ __all__ = [
     "ExtendsToOrder",
     "DoesNotExtend",
     "decide_abelian_order_extension",
+    "positive_functional",
     "decide_klein_biorderable",
 ]
 
@@ -278,15 +279,12 @@ def _fourier_motzkin(
 _COMBINATION_CAP = 512  # safety net; duality guarantees a hit long before
 
 
-def decide_abelian_order_extension(
+def positive_functional(
     vectors: Iterable[tuple[int, ...]], k: int
-) -> Union[ExtendsToOrder, DoesNotExtend]:
-    """Exact dichotomy for order extension of finite subsets of Z^k.
-
-    Returns a strictly positive integer functional, or a nonzero
-    nonnegative integer combination of the vectors summing to zero.
-    Witnesses are re-verified by substitution before returning.
-    """
+) -> Optional[tuple[int, ...]]:
+    """A strictly positive integer functional on a finite set of nonzero
+    vectors of Z^k, found by exact Fourier-Motzkin elimination and
+    re-verified by substitution, or None when none exists."""
     vs = sorted(set(tuple(v) for v in vectors))
     if not vs:
         raise ValueError("empty vector set")
@@ -297,13 +295,30 @@ def decide_abelian_order_extension(
 
     rows = [([Fraction(x) for x in v], Fraction(1)) for v in vs]
     phi = _fourier_motzkin(rows, k)
-    if phi is not None:
-        scale = lcm(*(f.denominator for f in phi)) if phi else 1
-        functional = tuple(int(f * scale) for f in phi)
-        for v in vs:
-            assert sum(c * x for c, x in zip(functional, v)) > 0
+    if phi is None:
+        return None
+    scale = lcm(*(f.denominator for f in phi)) if phi else 1
+    functional = tuple(int(f * scale) for f in phi)
+    for v in vs:
+        assert sum(c * x for c, x in zip(functional, v)) > 0
+    return functional
+
+
+def decide_abelian_order_extension(
+    vectors: Iterable[tuple[int, ...]], k: int
+) -> Union[ExtendsToOrder, DoesNotExtend]:
+    """Exact dichotomy for order extension of finite subsets of Z^k.
+
+    Returns a strictly positive integer functional, or a nonzero
+    nonnegative integer combination of the vectors summing to zero.
+    Witnesses are re-verified by substitution before returning.
+    """
+    vectors = tuple(vectors)
+    functional = positive_functional(vectors, k)
+    if functional is not None:
         return ExtendsToOrder(functional)
 
+    vs = sorted(set(tuple(v) for v in vectors))
     for total in range(1, _COMBINATION_CAP + 1):
         for combo in itertools.combinations_with_replacement(vs, total):
             if all(sum(col) == 0 for col in zip(*combo)):

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .words import Word
+from .words import Word, close_letters, reduced_word
 from . import terms
 
 Element = Hashable
@@ -199,13 +199,30 @@ def bounded_closure_with_parents(
     added in the previous round. With ``stop_at_identity`` the fixpoint
     stops as soon as the identity appears; ``size_cap`` truncates runaway
     closures (the result is then a deterministic under-approximation).
+    Over a free group the closure runs on letter tuples
+    (``words.close_letters``), and Words are built once at the end; over
+    other groups each element's sort key is computed once.
     """
-    key = lambda g: element_sort_key(oracle, g)
+    from .groups import FreeGroupOracle
+
+    if isinstance(oracle, FreeGroupOracle):
+        closed, pairs = close_letters(
+            (g.letters for g in elements),
+            radius,
+            stop_at_identity=stop_at_identity,
+            size_cap=size_cap,
+        )
+        word = {t: reduced_word(t) for t in closed}
+        parents = {word[c]: (word[a], word[b]) for c, (a, b) in pairs.items()}
+        return frozenset(word.values()), parents
+
+    keys = {g: element_sort_key(oracle, g) for g in elements}
+    key = keys.__getitem__
     multiply, length = oracle.multiply, oracle.length
-    current = set(elements)
-    parents: dict = {}
+    current = set(keys)
+    parents = {}
     older = sorted(current, key=key)
-    fresh = list(older)
+    fresh = older
     while fresh:
         if stop_at_identity and oracle.identity in current:
             break
@@ -223,8 +240,11 @@ def bounded_closure_with_parents(
                 new[c] = (a, b)
         parents.update(new)
         current.update(new)
+        for c in new:
+            keys[c] = element_sort_key(oracle, c)
         fresh = sorted(new, key=key)
-        older = sorted(current, key=key)
+        # two sorted runs: the sort merges them
+        older = sorted(older + fresh, key=key)
     return frozenset(current), parents
 
 

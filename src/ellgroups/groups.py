@@ -45,8 +45,6 @@ __all__ = [
     "canonicalize_klein",
     "klein_right_order_sign",
     "KLEIN_ORDER_VARIANTS",
-    "semigroup_closure_in_ball",
-    "normal_closure_in_ball",
     "decide_presented_lg",
     "oracle_from_selector",
 ]
@@ -242,44 +240,13 @@ def klein_right_order_sign(g: KleinElement, variant: int) -> int:
     return 0
 
 
-def semigroup_closure_in_ball(
-    elements: Iterable, radius: int, oracle
-) -> tuple[frozenset, dict]:
-    """Close under products within the radius ball; the returned parent map
-    records one decomposition per added element for witness extraction."""
-    return bounded_closure_with_parents(elements, radius, oracle)
-
-
-def normal_closure_in_ball(
-    elements: Iterable, radius: int, oracle, conjugator_radius: int = 2
-) -> frozenset:
-    """Close under in-ball products and conjugation by short conjugators."""
-    conjugators = oracle.enumerate_ball(conjugator_radius)
-    current = set(elements)
-    while True:
-        snapshot = sorted(
-            current, key=lambda g: derivation.element_sort_key(oracle, g)
-        )
-        added = False
-        for a in snapshot:
-            for b in snapshot:
-                c = oracle.multiply(a, b)
-                if oracle.length(c) <= radius and c not in current:
-                    current.add(c)
-                    added = True
-            for g in conjugators:
-                c = oracle.multiply(oracle.multiply(g, a), oracle.invert(g))
-                if oracle.length(c) <= radius and c not in current:
-                    current.add(c)
-                    added = True
-        if not added:
-            return frozenset(current)
-
-
 def _closure_certificate(
     canonical: frozenset, radius: int, oracle
 ) -> Optional[DerivationTree]:
-    closed, parents = semigroup_closure_in_ball(canonical, radius, oracle)
+    # the identity's parents are fixed in the round it enters
+    closed, parents = bounded_closure_with_parents(
+        canonical, radius, oracle, stop_at_identity=True
+    )
     if oracle.identity not in closed:
         return None
     seq = product_witness(oracle.identity, canonical, parents)
@@ -290,6 +257,28 @@ def _klein_cone_containing(canonical: frozenset) -> Optional[int]:
     for variant in range(1, 5):
         if all(klein_right_order_sign(g, variant) == 1 for g in canonical):
             return variant
+    return None
+
+
+def _cone_refutation(canonical: frozenset, oracle) -> Optional[Invalid]:
+    # a right order whose positive cone holds the join: neither a closure
+    # certificate nor a derivation can then exist
+    if isinstance(oracle, KleinBottleOracle):
+        variant = _klein_cone_containing(canonical)
+        if variant is not None:
+            eps = KLEIN_ORDER_VARIANTS[variant - 1]
+            return Invalid(
+                witness={"variant": variant, "epsilon": eps},
+                method="klein-orders",
+            )
+    elif isinstance(oracle, IntLatticeOracle):
+        from .biorder import positive_functional
+
+        functional = positive_functional(canonical, oracle.k)
+        if functional is not None:
+            return Invalid(
+                witness={"functional": functional}, method="abelian-duality"
+            )
     return None
 
 
@@ -304,12 +293,16 @@ def decide_presented_lg(
     """Decide e <= join in lattice-ordered groups satisfying the oracle's
     relations (the oracle's group must be right-orderable).
 
-    Certificates are attempted first: an identity in the bounded product
-    closure of the canonical join images, then derivation search. The
-    built-in oracles all have a complete fallback: free groups delegate
-    to the difference-system decider, the Klein bottle enumerates its
-    four right orders, and Z^k reduces to exact linear duality. Other
-    oracles fall back to Unknown when no certificate is found.
+    A join holding the identity is valid at once. Refutation comes next
+    where it is complete and cheap: a Klein bottle join inside one of the
+    group's four right orders, or a Z^k join on which some functional is
+    strictly positive, is invalid, and no certificate is searched for.
+    Certificates come after: an identity in the bounded product closure
+    of the canonical join images, then derivation search. Without one,
+    free groups delegate to the difference-system decider, the Klein
+    bottle is valid (no right order holds the join), and Z^k yields a
+    vanishing combination by exact linear duality. Other oracles fall
+    back to Unknown when no certificate is found.
     """
     join = frozenset(join)
     if not join:
@@ -318,14 +311,14 @@ def decide_presented_lg(
     if radius is None:
         radius = max(2, 2 * max(oracle.length(g) for g in canonical))
 
-    certificate: Optional[DerivationTree] = None
-    method = ""
     if oracle.identity in canonical:
-        certificate = leaf(canonical, oracle.identity)
-        method = "identity"
-    if certificate is None:
-        certificate = _closure_certificate(canonical, radius, oracle)
-        method = "closure"
+        return Valid(leaf(canonical, oracle.identity), "identity")
+    refutation = _cone_refutation(canonical, oracle)
+    if refutation is not None:
+        return refutation
+
+    certificate = _closure_certificate(canonical, radius, oracle)
+    method = "closure"
     if certificate is None:
         certificate = derivation.search(
             canonical,
@@ -335,26 +328,11 @@ def decide_presented_lg(
             universe_cap=universe_cap,
         )
         method = "derivation-search"
-
-    if isinstance(oracle, KleinBottleOracle):
-        variant = _klein_cone_containing(canonical)
-        if certificate is not None and variant is not None:
-            raise AssertionError(
-                "certificate and right-order cone cannot both exist; "
-                f"cone variant {variant} contains the join set"
-            )
-        if certificate is not None:
-            return Valid(certificate, method)
-        if variant is not None:
-            eps = KLEIN_ORDER_VARIANTS[variant - 1]
-            return Invalid(
-                witness={"variant": variant, "epsilon": eps},
-                method="klein-orders",
-            )
-        return Valid(None, "klein-orders", {"cones_checked": 4})
-
     if certificate is not None:
         return Valid(certificate, method)
+
+    if isinstance(oracle, KleinBottleOracle):
+        return Valid(None, "klein-orders", {"cones_checked": 4})
 
     if isinstance(oracle, FreeGroupOracle):
         verdict = decide_valid_lg(canonical)
@@ -368,17 +346,12 @@ def decide_presented_lg(
         return Invalid(witness=verdict, method="difference-system")
 
     if isinstance(oracle, IntLatticeOracle):
-        from .biorder import DoesNotExtend, decide_abelian_order_extension
+        from .biorder import decide_abelian_order_extension
 
+        # no functional: the dichotomy yields a combination
         outcome = decide_abelian_order_extension(canonical, oracle.k)
-        if isinstance(outcome, DoesNotExtend):
-            seq = []
-            for elem, count in outcome.combination:
-                seq.extend([elem] * count)
-            return Valid(closure_leaf(canonical, seq), "abelian-duality")
-        return Invalid(
-            witness={"functional": outcome.functional}, method="abelian-duality"
-        )
+        seq = [elem for elem, count in outcome.combination for _ in range(count)]
+        return Valid(closure_leaf(canonical, seq), "abelian-duality")
 
     return Unknown(
         budgets={"radius": radius, "depth": depth, "universe_cap": universe_cap}

@@ -31,8 +31,10 @@ from .words import (
     Word,
     ball,
     ball_letters,
+    close_letters,
     difference_table,
     initial_subterms,
+    reduced_word,
     table_classes,
 )
 
@@ -411,28 +413,23 @@ def _close(
     ix: _BallIndex,
     cone: Iterable[int],
     delta: Iterable[int],
-    outside: Sequence[tuple] = (),
-    stop_at_identity: bool = False,
 ) -> set[int]:
     """The closure of a product-closed cone with delta adjoined.
 
     Semi-naive: each round multiplies only the elements new in the last
-    round, in both orders, against the cone and the outside words (letter
-    tuples longer than l, which take part in products but are not
-    indexed). With stop_at_identity the closure ends, unfinished, as soon
-    as e enters the cone.
+    round, in both orders, against the cone. The closure ends, unfinished,
+    as soon as e enters the cone.
     """
     letters, position, l = ix.letters, ix.position, ix.l
     cone = set(cone)
     delta = set(delta) - cone
     while delta:
         cone |= delta
-        if stop_at_identity and 0 in cone:
+        if 0 in cone:
             break
         fresh = set()
         # e is left out: its products add nothing
         others = [letters[x] for x in cone if x]
-        others += outside
         for d in delta:
             if not d:
                 continue
@@ -458,19 +455,11 @@ def product_closure_in_ball(words: Iterable[Word], l: int) -> frozenset[Word]:
     """Least superset closed under reduced products of length <= l.
 
     Words longer than l are kept and take part in products that land back
-    in the l-ball. The cost grows with the size of the l-ball over the
-    generators that occur in the input.
+    in the l-ball. A thin wrapper over ``words.close_letters``: the cost
+    grows with the closure, not with the l-ball.
     """
-    words = frozenset(words)
-    if l < 0:
-        return words
-    k = max((abs(x) for w in words for x in w.letters), default=1)
-    ix = _ball_index(k, l)
-    outside = tuple(w.letters for w in words if len(w) > l)
-    products = (_product(a, b, l, ix.position) for a in outside for b in outside)
-    start = [ix.position[w.letters] for w in words if len(w) <= l]
-    cone = _close(ix, (), start + [p for p in products if p >= 0], outside)
-    return frozenset(ix.words[i] for i in cone) | {w for w in words if len(w) > l}
+    closed, _ = close_letters((w.letters for w in words), l)
+    return frozenset(map(reduced_word, closed))
 
 
 def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
@@ -496,7 +485,7 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
     ix = _ball_index(k, l)
     inverse = ix.inverse
     indices = [ix.position[w.letters] for w in start]
-    cone = _close(ix, (), indices, stop_at_identity=True)
+    cone = _close(ix, (), indices)
     # the (parent cone, t) of every branch whose negative side, t^-1, is
     # still to be tried
     pending: list[tuple[set[int], int]] = []
@@ -506,7 +495,7 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
             if not pending:
                 return None
             parent, t = pending.pop()
-            cone = _close(ix, parent, (inverse[t],), stop_at_identity=True)
+            cone = _close(ix, parent, (inverse[t],))
             continue
         while t < ix.interior and (t in cone or inverse[t] in cone):
             t += 1
@@ -514,7 +503,7 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
             positives = frozenset(ix.words[i] for i in cone)
             return TruncatedRightOrder(rank=k, l=l, positives=positives)
         pending.append((cone, t))
-        cone = _close(ix, cone, (t,), stop_at_identity=True)
+        cone = _close(ix, cone, (t,))
 
 
 class WitnessError(RuntimeError):

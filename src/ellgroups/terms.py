@@ -270,12 +270,6 @@ def max_var_index(text: str) -> int:
     return best
 
 
-def render_word_term(w: Word) -> str:
-    from .words import render_word
-
-    return render_word(w)
-
-
 def render(t: Term) -> str:
     # levels: meet 0, join 1, prod 2, atom 3; parenthesize a child whose
     # level is below its slot, keeping left-associative chains flat

@@ -93,10 +93,85 @@ def concat_reduce(a: Word, b: Word) -> Word:
     else:
         letters = left + right
     # both sides are reduced and the seam no longer cancels, so the
-    # product is reduced: it skips the check of Word's constructor
-    product = object.__new__(Word)
-    object.__setattr__(product, "letters", letters)
-    return product
+    # product is reduced
+    return reduced_word(letters)
+
+
+def reduced_word(letters: tuple[int, ...]) -> Word:
+    """A Word from letters known to be reduced, skipping the constructor's
+    check."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+def _round_products(lefts, rights, radius: int, current: set, new: dict) -> None:
+    # every a*b, a from lefts and b from rights in that nested order, of
+    # length <= radius and not yet in current goes into current, and into
+    # new with (a, b) as its parents; e is in neither list
+    for a in lefts:
+        n = len(a)
+        head, short = -a[-1], radius - n
+        for b in rights:
+            if b[0] == head:
+                i, stop = 1, min(n, len(b))
+                while i < stop and a[n - 1 - i] == -b[i]:
+                    i += 1
+                if n + len(b) - 2 * i > radius:
+                    continue
+                c = a[: n - i] + b[i:]
+            elif len(b) > short:
+                continue
+            else:
+                c = a + b
+            if c not in current:
+                current.add(c)
+                new[c] = (a, b)
+
+
+def close_letters(
+    elements: Iterable[tuple[int, ...]],
+    radius: int,
+    *,
+    stop_at_identity: bool = False,
+    size_cap: Optional[int] = None,
+) -> tuple[set[tuple[int, ...]], dict]:
+    """Close reduced letter tuples under free products of length <= radius.
+
+    Returns the closed set and, for every added element, the first pair
+    (a, b) found with a*b equal to it. Frontier rounds: with the elements
+    in ascending word order, a round multiplies every older element by
+    every fresh one (new in the last round), then every fresh element by
+    every older one that is not fresh. Elements longer than the radius
+    are kept and take part in products. Before each round the closure
+    stops once the identity is in it, with ``stop_at_identity``, or once
+    it holds ``size_cap`` elements. No Word is built.
+    """
+    keys = {t: (len(t), tuple(map(_code, t))) for t in elements}
+    key = keys.__getitem__
+    current = set(keys)
+    parents: dict = {}
+    older = sorted(current, key=key)
+    fresh = older
+    while fresh:
+        if stop_at_identity and () in current:
+            break
+        if size_cap is not None and len(current) >= size_cap:
+            break
+        # products with e add nothing
+        lefts = [a for a in older if a]
+        rights = [b for b in fresh if b]
+        new: dict = {}
+        _round_products(lefts, rights, radius, current, new)
+        fresh_set = set(fresh)
+        _round_products(rights, [b for b in lefts if b not in fresh_set], radius, current, new)
+        parents.update(new)
+        for c in new:
+            keys[c] = (len(c), tuple(map(_code, c)))
+        fresh = sorted(new, key=key)
+        # two sorted runs: the sort merges them
+        older = sorted(older + fresh, key=key)
+    return current, parents
 
 
 def invert(a: Word) -> Word:

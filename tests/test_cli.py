@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from ellgroups.cli import (
     EXIT_PARSE,
     main,
 )
+from ellgroups.words import render_word, word
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "worked_examples.corpus"
 
@@ -34,6 +37,43 @@ def strip_millis(doc):
     if "stats" in doc:
         doc["stats"].pop("millis", None)
     return doc
+
+
+PINNED_CASES = (
+    ("lg", "free:2"),
+    ("lg", "free:3"),
+    ("lg", "zn:2"),
+    ("lg", "klein"),
+    ("rg", "free:2"),
+    ("abelian", "zn:2"),
+    ("abelian", "zn:3"),
+)
+PINNED_TEMPLATES = (
+    r"e <= {a} \/ {b}",
+    r"{a} /\ {b} <= {a} \/ {b}",
+    r"e <= {a} \/ {a}^-1",
+    r"{a}*{b} <= {b}*{a}",
+    r"e <= {a}*{b} \/ {b}*{a}^-1",
+    r"({a} \/ e)*({a} /\ e) = {a}",
+    r"e <= ({a} \/ {a}^-1)*({b} \/ {b}^-1)",
+)
+
+
+def pinned_statements():
+    """Three seeded instances of each template for each (variety, group)
+    pair, with seeded words of at most two letters."""
+    rng = random.Random(5)
+    for variety, group in PINNED_CASES:
+        k = 2 if group == "klein" else int(group[-1])
+        letters = [l for g in range(1, k + 1) for l in (g, -g)]
+        for template in PINNED_TEMPLATES:
+            for _ in range(3):
+                a, b = (
+                    "(" + render_word(word(rng.choices(letters, k=rng.randint(1, 2)))) + ")"
+                    for _ in range(2)
+                )
+                yield ("decide", "--variety", variety, "--group", group,
+                       template.format(a=a, b=b))
 
 
 class TestDecide:
@@ -171,6 +211,20 @@ class TestDecide:
         _, doc1 = run_json(capsys, *argv)
         _, doc2 = run_json(capsys, *argv)
         assert strip_millis(doc1) == strip_millis(doc2)
+
+    def test_cli_output_pinned(self, capsys):
+        # recorded before the presented-group decider refuted first and
+        # the closure ran on letter tuples; the hash covers every
+        # (variety, group) pair, certificates and witnesses included
+        lines = []
+        for argv in pinned_statements():
+            code, doc = run_json(capsys, *argv)
+            lines.append(f"{code} {json.dumps(strip_millis(doc), sort_keys=True)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert len(lines) == 147
+        assert digest == (
+            "6292f0f0b34ae6cdd0b0cf4d0b996432f8f41b488ef600dbbd200d44d82cfd96"
+        )
 
     def test_count_past_decimal_limit(self):
         # 2**m sign assignments over m ~ 3,600 free classes, past the

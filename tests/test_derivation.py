@@ -1,13 +1,17 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellgroups.derivation import (
     CertificateError,
     RuleSystem,
+    bounded_closure_with_parents,
     check,
     closure_leaf,
+    element_sort_key,
     exchange_extension,
     exchange_node,
     leaf,
@@ -20,7 +24,7 @@ from ellgroups.derivation import (
 from ellgroups.groups import FreeGroupOracle, IntLatticeOracle, KleinBottleOracle
 from ellgroups.rightorder import clay_smith, decide_valid_lg, LgValid
 from ellgroups.terms import parse_group_word
-from ellgroups.words import IDENTITY, ball
+from ellgroups.words import IDENTITY, ball, word
 
 F2 = FreeGroupOracle(2)
 Z = IntLatticeOracle(1)
@@ -223,6 +227,97 @@ def _walk(tree):
     yield tree
     for c in tree.children:
         yield from _walk(c)
+
+
+def generic_closure(elements, radius, oracle, stop_at_identity=False, size_cap=None):
+    # the closure through the oracle's arithmetic alone, sort keys
+    # recomputed at every sort, as it ran for every group before the
+    # free-group letter-tuple kernel
+    key = lambda g: element_sort_key(oracle, g)
+    current = set(elements)
+    parents = {}
+    older = sorted(current, key=key)
+    fresh = list(older)
+    while fresh:
+        if stop_at_identity and oracle.identity in current:
+            break
+        if size_cap is not None and len(current) >= size_cap:
+            break
+        fresh_set = set(fresh)
+        new = {}
+        pairs = itertools.chain(
+            itertools.product(older, fresh),
+            ((a, b) for a in fresh for b in older if b not in fresh_set),
+        )
+        for a, b in pairs:
+            c = oracle.multiply(a, b)
+            if oracle.length(c) <= radius and c not in current and c not in new:
+                new[c] = (a, b)
+        parents.update(new)
+        current.update(new)
+        fresh = sorted(new, key=key)
+        older = sorted(current, key=key)
+    return frozenset(current), parents
+
+
+def assert_same_closure(elements, radius, oracle, **options):
+    closed, parents = bounded_closure_with_parents(elements, radius, oracle, **options)
+    expected, expected_parents = generic_closure(elements, radius, oracle, **options)
+    assert closed == expected
+    # the same first-found parents, recorded in the same order
+    assert list(parents.items()) == list(expected_parents.items())
+
+
+CLOSURE_OPTIONS = [
+    {},
+    {"stop_at_identity": True},
+    {"size_cap": 12},
+    {"stop_at_identity": True, "size_cap": 64},
+]
+
+
+class TestClosureKernels:
+    """The free-group letter-tuple kernel, and the cached sort keys of the
+    other groups, against the generic closure above."""
+
+    @pytest.mark.parametrize("options", CLOSURE_OPTIONS, ids=str)
+    def test_radius_two_family(self, options):
+        elems = sorted(w for w in ball(2, 2) if w != IDENTITY)
+        for r in (1, 2, 3):
+            for S in itertools.combinations(elems, r):
+                assert_same_closure(S, 4, F2, **options)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.integers(1, k).flatmap(lambda g: st.sampled_from((g, -g))),
+                    max_size=6,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        st.integers(-1, 5),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_free_property(self, letter_lists, radius, stop, cap):
+        # words longer than the radius, e and repeated words included
+        S = [word(letters) for letters in letter_lists]
+        assert_same_closure(
+            S, radius, FreeGroupOracle(3), stop_at_identity=stop, size_cap=cap
+        )
+
+    @pytest.mark.parametrize("oracle", [IntLatticeOracle(2), KLEIN], ids=lambda o: o.name)
+    @pytest.mark.parametrize("options", CLOSURE_OPTIONS, ids=str)
+    def test_other_groups(self, oracle, options):
+        rng = random.Random(43)
+        ball3 = [g for g in oracle.enumerate_ball(3) if not oracle.is_identity(g)]
+        for _ in range(60):
+            S = rng.sample(ball3, rng.randint(1, 3))
+            assert_same_closure(S, 6, oracle, **options)
 
 
 class TestTreeTransformers:

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from ellgroups.derivation import Invalid, RuleSystem, Unknown, Valid, check
+from ellgroups import derivation, groups
+from ellgroups.derivation import (
+    Invalid,
+    RuleSystem,
+    Unknown,
+    Valid,
+    bounded_closure_with_parents,
+    check,
+    closure_leaf,
+)
 from ellgroups.groups import (
     FreeGroupOracle,
     IntLatticeOracle,
@@ -12,9 +21,7 @@ from ellgroups.groups import (
     canonicalize_klein,
     decide_presented_lg,
     klein_right_order_sign,
-    normal_closure_in_ball,
     oracle_from_selector,
-    semigroup_closure_in_ball,
 )
 from ellgroups.derivation import product_witness
 from ellgroups.terms import parse_group_word
@@ -142,7 +149,7 @@ class TestKleinRightOrders:
 class TestClosures:
     def test_klein_semigroup_closure_reaches_identity(self):
         S = {KLEIN.canonicalize(W("x")), KLEIN.canonicalize(W("x^-1*y"))}
-        closed, parents = semigroup_closure_in_ball(S, 2, KLEIN)
+        closed, parents = bounded_closure_with_parents(S, 2, KLEIN)
         assert KLEIN.identity in closed
         seq = product_witness(KLEIN.identity, frozenset(S), parents)
         out = KLEIN.identity
@@ -152,27 +159,14 @@ class TestClosures:
         assert KLEIN.is_identity(out)
 
     def test_integer_closure(self):
-        closed, parents = semigroup_closure_in_ball({(1,), (-2,)}, 4, Z1)
+        closed, parents = bounded_closure_with_parents({(1,), (-2,)}, 4, Z1)
         assert (0,) in closed
         seq = product_witness((0,), frozenset({(1,), (-2,)}), parents)
         assert sum(v[0] for v in seq) == 0
 
     def test_free_closure_misses_identity(self):
-        closed, _ = semigroup_closure_in_ball({W("x")}, 3, F2)
+        closed, _ = bounded_closure_with_parents({W("x")}, 3, F2)
         assert closed == {W("x"), W("x*x"), W("x*x*x")}
-
-    def test_klein_normal_closure(self):
-        closed = normal_closure_in_ball({KLEIN.canonicalize(W("y"))}, 2, KLEIN, conjugator_radius=1)
-        assert KleinElement(0, -1) in closed  # x y x^-1
-        assert KLEIN.identity in closed
-
-    def test_free_normal_closure_of_generator(self):
-        closed = normal_closure_in_ball({W("x")}, 3, F2, conjugator_radius=1)
-        assert IDENTITY not in closed
-
-    def test_abelian_normal_closure_is_semigroup_closure(self):
-        closed = normal_closure_in_ball({(1, 0)}, 3, Z2)
-        assert closed == {(1, 0), (2, 0), (3, 0)}
 
 
 class TestDecidePresented:
@@ -186,6 +180,14 @@ class TestDecidePresented:
         verdict = decide_presented_lg({W("x")}, KLEIN)
         assert isinstance(verdict, Invalid)
         assert verdict.witness["variant"] == 1
+
+    def test_klein_valid_without_certificate(self):
+        # x^2 y^-1 and x^-2 y^-2 lie in no right order's cone; with the
+        # search cut to depth 0 no certificate is found, and the four
+        # orders settle it
+        join = {KLEIN.to_word(KleinElement(2, -1)), KLEIN.to_word(KleinElement(-2, -2))}
+        verdict = decide_presented_lg(join, KLEIN, radius=2, depth=0)
+        assert verdict == Valid(None, "klein-orders", {"cones_checked": 4})
 
     def test_free_delegation(self):
         verdict = decide_presented_lg(
@@ -232,6 +234,64 @@ class TestDecidePresented:
         verdict = decide_presented_lg({W("x*x")}, OpaqueOracle(), depth=1)
         assert isinstance(verdict, Unknown)
         assert "depth" in verdict.budgets
+
+
+class TestRefuteFirst:
+    """A join inside a right order's positive cone is refuted before any
+    certificate is searched for; the verdict is the one found after a
+    full search."""
+
+    @staticmethod
+    def refuted_without_search(join, oracle, monkeypatch):
+        expected = decide_presented_lg(join, oracle)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate search ran")
+
+        monkeypatch.setattr(groups, "bounded_closure_with_parents", refuse)
+        monkeypatch.setattr(derivation, "search", refuse)
+        verdict = decide_presented_lg(join, oracle)
+        assert verdict == expected
+        return verdict
+
+    def test_klein_join_in_a_cone(self, monkeypatch):
+        # x^-1 = (-1, 0) and y*x^-1 = (-1, -1): the cone of variant 3
+        verdict = self.refuted_without_search({W("x^-1"), W("y*x^-1")}, KLEIN, monkeypatch)
+        assert verdict == Invalid(
+            witness={"variant": 3, "epsilon": (-1, 1)}, method="klein-orders"
+        )
+
+    def test_integer_join_in_a_cone(self, monkeypatch):
+        join = {W("x"), W("x*y"), W("x*y^-1")}
+        verdict = self.refuted_without_search(join, Z2, monkeypatch)
+        assert verdict.method == "abelian-duality"
+        functional = verdict.witness["functional"]
+        for v in ((1, 0), (1, 1), (1, -1)):
+            assert functional[0] * v[0] + functional[1] * v[1] > 0
+
+    def test_stop_at_identity_keeps_the_witness(self):
+        # the closure certificate stops once e enters; its product
+        # sequence is the one the full closure records
+        rng = random.Random(41)
+        for oracle in (Z2, KLEIN):
+            found = 0
+            for _ in range(400):
+                join = frozenset(
+                    oracle.canonicalize(random_word(rng, max_len=3))
+                    for _ in range(rng.randint(2, 4))
+                )
+                if oracle.identity in join:
+                    continue
+                radius = max(2, 2 * max(oracle.length(g) for g in join))
+                full, parents = bounded_closure_with_parents(join, radius, oracle)
+                if oracle.identity not in full:
+                    continue
+                found += 1
+                sequence = product_witness(oracle.identity, join, parents)
+                assert groups._closure_certificate(join, radius, oracle) == closure_leaf(
+                    join, sequence
+                )
+            assert found >= 40, oracle.name
 
 
 class TestOracleSelector:

@@ -285,6 +285,16 @@ class TestProductClosure:
         }
 
 
+    def test_large_l_does_not_index_the_ball(self, monkeypatch):
+        # the l = 11 ball of F(2) has ~10^5 words; the closure has five
+        def refuse(*args):
+            raise AssertionError("the l-ball was indexed")
+
+        monkeypatch.setattr(rightorder, "_ball_index", refuse)
+        powers = {W("*".join(["x*y"] * n)) for n in range(1, 6)}
+        assert product_closure_in_ball({W("x*y")}, 11) == powers
+
+
 class TestKernelEquivalence:
     """The indexed ball kernel against the word-level oracles above."""
 
