@@ -2,8 +2,9 @@
 right orders, re-check certificates, and run regression corpora.
 
 Exit codes: 0 for any decided or unknown result, 1 for a failed corpus
-line or rejected certificate, 2 for parse errors, 3 for budget-exceeded
-under --strict, 4 for an invalid method/group combination.
+line or rejected certificate, 2 for parse errors and refused input (a bad
+group selector or rank, a statement too large or nested too deeply), 3 for
+budget-exceeded under --strict, 4 for an invalid method/group combination.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ EXIT_BAD_COMBINATION = 4
 
 class BadCombination(Exception):
     pass
+
+
+class Refused(Exception):
+    """Input refused before any decider runs, with the reason; exit 2."""
 
 
 def _emit(doc: dict) -> None:
@@ -91,7 +96,7 @@ def _truncated_json(order: rightorder.TruncatedRightOrder) -> dict:
     return {"l": order.l, "positives": _word_list(order.positives)}
 
 
-def _decide_joinset_lg(join, oracle, method: str, args) -> dict:
+def _decide_joinset_lg(join, oracle, method: str, args, deadline=None) -> dict:
     is_free = isinstance(oracle, groups.FreeGroupOracle)
     if method == "auto":
         method = "cis" if is_free else "presented"
@@ -99,7 +104,10 @@ def _decide_joinset_lg(join, oracle, method: str, args) -> dict:
         raise BadCombination(f"method {method} requires a free group")
     out: dict = {"join": _word_list(join)}
     if method == "cis":
-        verdict = rightorder.decide_valid_lg(join)
+        verdict = rightorder.decide_valid_lg(join, deadline)
+        if isinstance(verdict, derivation.Unknown):
+            out.update(_past_budget(args))
+            return out
         out["assignments"] = verdict.assignments_checked
         out["nodes"] = verdict.nodes_explored
         if isinstance(verdict, LgValid):
@@ -221,12 +229,47 @@ def _decide_joinset_abelian(join, oracle, args) -> dict:
     return out
 
 
+def _oracle(selector: str):
+    try:
+        return groups.oracle_from_selector(selector)
+    except ValueError as exc:
+        raise Refused(str(exc)) from None
+
+
+def _inferred_rank(text: str) -> int:
+    k = max(1, terms.max_var_index(text))
+    if k > groups.MAX_RANK:
+        raise Refused(
+            f"the input names a generator of index over {groups.MAX_RANK},"
+            " the largest rank of a group"
+        )
+    return k
+
+
+def _statement_joinsets(text: str, k: int, max_term_nodes: int):
+    """Parse a statement over rank k into its meet of joins; raises
+    terms.ParseError, or Refused for a statement over the node limit or
+    nested too deeply."""
+    try:
+        stmt = terms.parse_statement(text, k)
+        nodes = terms.term_node_count(stmt.left) + terms.term_node_count(stmt.right)
+        if nodes > max_term_nodes:
+            raise Refused(
+                f"statement has {nodes} term nodes,"
+                f" over the --max-term-nodes limit of {max_term_nodes}"
+            )
+        return terms.statement_to_joinsets(stmt)
+    except RecursionError:
+        # the parser and the normalization recurse once per level
+        raise Refused("statement nested too deeply") from None
+
+
 def _pick_oracle(args, statement_text: str):
     selector = args.group
     if selector is None:
-        k = max(1, terms.max_var_index(statement_text))
+        k = _inferred_rank(statement_text)
         selector = f"zn:{k}" if args.variety == "abelian" else f"free:{k}"
-    oracle = groups.oracle_from_selector(selector)
+    oracle = _oracle(selector)
     if args.variety == "rg" and not isinstance(oracle, groups.FreeGroupOracle):
         raise BadCombination("variety rg is decided over free groups only")
     if args.variety == "abelian" and not isinstance(
@@ -245,44 +288,39 @@ def _aggregate(results: list[dict]) -> str:
     return "valid"
 
 
+def _refused(exc: Refused) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
+def _past_budget(args) -> dict:
+    return {"verdict": "unknown", "budgets": {"budget_ms": args.budget_ms}}
+
+
 def run_decide(args) -> int:
     started = time.monotonic()
+    deadline = None if args.budget_ms is None else started + args.budget_ms / 1000
     try:
         oracle = _pick_oracle(args, args.statement)
-        stmt = terms.parse_statement(args.statement, oracle.k)
+        joinsets = _statement_joinsets(args.statement, oracle.k, args.max_term_nodes)
     except BadCombination as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
     except terms.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    nodes = terms.term_node_count(stmt.left) + terms.term_node_count(stmt.right)
-    if nodes > args.max_term_nodes:
-        print(
-            f"error: statement has {nodes} term nodes,"
-            f" over the --max-term-nodes limit of {args.max_term_nodes}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+    except Refused as exc:
+        return _refused(exc)
 
-    joinsets = terms.statement_to_joinsets(stmt)
     results = []
     try:
         for join in joinsets:
-            if args.budget_ms is not None and (
-                (time.monotonic() - started) * 1000 > args.budget_ms
-            ):
-                results.append(
-                    {
-                        "join": _word_list(join),
-                        "verdict": "unknown",
-                        "budgets": {"budget_ms": args.budget_ms},
-                    }
-                )
+            if deadline is not None and time.monotonic() > deadline:
+                results.append({"join": _word_list(join), **_past_budget(args)})
                 continue
             if args.variety == "lg":
                 results.append(
-                    _decide_joinset_lg(join, oracle, args.method, args)
+                    _decide_joinset_lg(join, oracle, args.method, args, deadline)
                 )
             elif args.variety == "rg":
                 if args.method not in ("auto", "derivation"):
@@ -329,13 +367,14 @@ def run_decide(args) -> int:
 
 def run_extend_right(args) -> int:
     started = time.monotonic()
-    selector = args.group or f"free:{max(1, terms.max_var_index(args.words))}"
     try:
-        oracle = groups.oracle_from_selector(selector)
+        oracle = _oracle(args.group or f"free:{_inferred_rank(args.words)}")
         word_set = terms.parse_word_set(args.words, oracle.k)
     except terms.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Refused as exc:
+        return _refused(exc)
 
     doc: dict = {"group": oracle.name}
     if isinstance(oracle, groups.FreeGroupOracle):
@@ -385,7 +424,10 @@ def _too_deep() -> int:
 
 
 def run_certificate_check(args) -> int:
-    oracle = groups.oracle_from_selector(args.group)
+    try:
+        oracle = _oracle(args.group)
+    except Refused as exc:
+        return _refused(exc)
     if args.path == "-":
         text = sys.stdin.read()
     else:
@@ -446,7 +488,11 @@ def run_corpus(args) -> int:
             print(f"line {lineno}: bad expected verdict {expected!r}")
             return EXIT_PARSE
         total += 1
-        verdict = _corpus_decide(variety, statement, args)
+        try:
+            verdict = _corpus_decide(variety, statement, args)
+        except Refused as exc:
+            print(f"line {lineno}: {exc}")
+            return EXIT_PARSE
         ok = _corpus_expected_ok(expected, verdict)
         status = "pass" if ok else "FAIL"
         print(f"line {lineno}: {status}  [{variety}] {statement}  ->  {verdict}")
@@ -457,12 +503,11 @@ def run_corpus(args) -> int:
 
 
 def _corpus_decide(variety: str, statement: str, args) -> str:
-    k = max(1, terms.max_var_index(statement))
+    k = _inferred_rank(statement)
     try:
-        stmt = terms.parse_statement(statement, k)
+        joinsets = _statement_joinsets(statement, k, args.max_term_nodes)
     except terms.ParseError:
         return "parse-error"
-    joinsets = terms.statement_to_joinsets(stmt)
     verdicts = []
     for join in joinsets:
         if variety == "lg":
@@ -507,7 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--group", default=None, help="free:K, zn:K, or klein")
+        p.add_argument(
+            "--group", default=None,
+            help=f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK};"
+            " without it, free:K (zn:K for --variety abelian) with K the"
+            " highest generator index in the input",
+        )
         p.add_argument("--max-depth", type=int, default=5)
         p.add_argument("--universe-cap", type=int, default=32)
         p.add_argument("--radius", type=int, default=None)
@@ -545,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
     cert_sub = p_cert.add_subparsers(dest="certificate_command", required=True)
     p_check = cert_sub.add_parser("check", help="re-verify a certificate JSON")
     p_check.add_argument("path", help="certificate file, or - for stdin")
-    p_check.add_argument("--group", default="free:2")
+    p_check.add_argument(
+        "--group", default="free:2",
+        help=f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK}",
+    )
     p_check.set_defaults(func=run_certificate_check)
 
     p_corpus = sub.add_parser("corpus", help="run a regression corpus")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from typing import Iterable, NamedTuple, Optional
 
 from . import derivation
@@ -47,7 +48,12 @@ __all__ = [
     "KLEIN_ORDER_VARIANTS",
     "decide_presented_lg",
     "oracle_from_selector",
+    "MAX_RANK",
 ]
+
+# the largest rank a selector names: a witness holds one map per generator,
+# and nothing the deciders do is practical far beyond this
+MAX_RANK = 100
 
 
 class FreeGroupOracle:
@@ -359,14 +365,16 @@ def decide_presented_lg(
 
 
 def oracle_from_selector(selector: str):
-    """Build an oracle from a selector string: free:K, zn:K, or klein."""
+    """Build an oracle from a selector string: free:K, zn:K, or klein, with
+    K of at most nine decimal digits and 1 <= K <= MAX_RANK; ValueError
+    otherwise."""
     if selector == "klein":
         return KleinBottleOracle()
-    for prefix, cls in (("free:", FreeGroupOracle), ("zn:", IntLatticeOracle)):
-        if selector.startswith(prefix):
-            try:
-                k = int(selector[len(prefix) :])
-            except ValueError:
-                raise ValueError(f"bad group selector {selector!r}") from None
-            return cls(k)
-    raise ValueError(f"bad group selector {selector!r}")
+    # a bounded digit count keeps int() within the interpreter's limit
+    match = re.fullmatch(r"(free|zn):([0-9]{1,9})", selector)
+    if match is None:
+        raise ValueError(f"bad group selector {selector!r}")
+    k = int(match[2])
+    if not 1 <= k <= MAX_RANK:
+        raise ValueError(f"group rank {k} is not between 1 and {MAX_RANK}")
+    return (FreeGroupOracle if match[1] == "free" else IntLatticeOracle)(k)

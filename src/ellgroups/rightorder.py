@@ -21,10 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
+from .derivation import Unknown
 from .words import (
     IDENTITY,
     DifferenceClass,
@@ -90,13 +92,53 @@ class LgValid:
     nodes_explored: int = 0
 
 
-@dataclass(frozen=True)
 class LgInvalid:
-    system: DifferenceSystem
-    signs: tuple[int, ...]  # aligned with system.classes
-    order: tuple[Word, ...]  # ascending witness order on the nodes
-    assignments_checked: int = 0
-    nodes_explored: int = 0
+    """An acyclic sign assignment, the witness that e <= join fails.
+
+    ``signs`` is aligned with ``system.classes`` and ``order`` lists the
+    nodes in ascending witness order. ``system`` may be given as a
+    function of no arguments that builds it; it is then built on first
+    read and kept. ``repr``, ``==`` and ``hash`` are those of a frozen
+    dataclass with the five fields below, so they read the system.
+    """
+
+    _FIELDS = ("system", "signs", "order", "assignments_checked", "nodes_explored")
+    __slots__ = ("_system", "signs", "order", "assignments_checked", "nodes_explored")
+
+    def __init__(
+        self,
+        system: Union[DifferenceSystem, Callable[[], DifferenceSystem]],
+        signs: tuple[int, ...],
+        order: tuple[Word, ...],
+        assignments_checked: int = 0,
+        nodes_explored: int = 0,
+    ) -> None:
+        self._system = system
+        self.signs = signs
+        self.order = order
+        self.assignments_checked = assignments_checked
+        self.nodes_explored = nodes_explored
+
+    @property
+    def system(self) -> DifferenceSystem:
+        if not isinstance(self._system, DifferenceSystem):
+            self._system = self._system()
+        return self._system
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
+        return f"LgInvalid({fields})"
 
 
 def _inverse_letters(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,6 +211,10 @@ def consistent(
     raise AssertionError("tournament with repeated scores but no 3-cycle")
 
 
+class _PastDeadline(Exception):
+    pass
+
+
 def _column(n: int) -> int:
     # bit 0 of every row of an n*n-bit matrix
     return sum(1 << (w * n) for w in range(n))
@@ -195,7 +241,9 @@ def _grow(
     return closure
 
 
-def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
+def decide_valid_lg(
+    join: Iterable[Word], deadline: Optional[float] = None
+) -> Union[LgValid, LgInvalid, Unknown]:
     """Decide validity of e <= join in all lattice-ordered groups.
 
     Valid exactly when every total sign assignment on the difference
@@ -219,8 +267,12 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
     -1 order already settles, which it then passes without a test. It
     counts the states it reaches; the counts of the plain recursion, which
     tries +1 and then -1 at every state, follow from that number and the
-    leaf's signs. The Word-level ``DifferenceSystem`` is built only for an
-    ``LgInvalid``.
+    leaf's signs. An ``LgInvalid`` keeps the table and builds its
+    Word-level ``DifferenceSystem`` when it is first read.
+
+    With a ``deadline`` (a ``time.monotonic()`` instant), each state where
+    both signs survive first checks the clock, and a search still running
+    past it returns ``Unknown`` naming the deadline.
     """
     join = frozenset(join)
     if not join:
@@ -286,6 +338,8 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
                 elif minus is None:
                     closure = plus
                 else:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise _PastDeadline
                     before = states
                     leaf = search(level + 1, plus, levels[i:])
                     if leaf is not None:
@@ -308,7 +362,10 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
         states += level + 1 - start
         return None
 
-    leaf = search(0, base, list(range(m)))
+    try:
+        leaf = search(0, base, list(range(m)))
+    except _PastDeadline:
+        return Unknown(budgets={"deadline": deadline})
     if leaf is None:
         # every state tried both signs; all 2**m assignments are covered
         return LgValid(assignments_checked=2**m, nodes_explored=len(forced) + 2 * states)
@@ -325,17 +382,23 @@ def decide_valid_lg(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
             signs[ci] = -1
             checked += 1 << (m - level - 1)
     pluses = sum(signs[ci] == 1 for ci in free)
-    # not immediately cyclic: that join returned valid above
-    sys = DifferenceSystem(join, *table_classes(table, forced_signs), False)
     row = (1 << n) - 1
     order = sorted(range(n), key=lambda i: -bin((leaf >> (i * n)) & row).count("1"))
     return LgInvalid(
-        system=sys,
+        system=functools.partial(_table_system, join, table, forced_signs),
         signs=tuple(signs),
-        order=tuple(sys.nodes[i] for i in order),
+        order=tuple(reduced_word(nodes[i]) for i in order),
         assignments_checked=checked,
         nodes_explored=len(forced) + 2 * states - pluses,
     )
+
+
+def _table_system(
+    join: frozenset[Word], table: tuple, forced: Sequence[Optional[int]]
+) -> DifferenceSystem:
+    # the system of a join decide_valid_lg searched: not immediately
+    # cyclic, since such a join is valid before any table is built
+    return DifferenceSystem(join, *table_classes(table, forced), False)
 
 
 def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:

@@ -17,6 +17,7 @@ reuse the prod production inside braces: "{x*y, y^-1}".
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -131,12 +132,9 @@ class _Parser:
         return self.take()
 
     def var_index(self, text: str, pos: int) -> int:
-        if len(text) == 1:
-            index = "xyz".index(text) + 1
-        else:
-            index = int(text[1:])
-            if index == 0:
-                raise ParseError("x0 is not a generator", pos)
+        index = _generator_index(text)
+        if index == 0:
+            raise ParseError("x0 is not a generator", pos)
         if index > self.rank:
             raise ParseError(
                 f"variable {text} exceeds rank {self.rank}", pos
@@ -261,12 +259,21 @@ def term_node_count(t: Term) -> int:
     return 1 + term_node_count(t.left) + term_node_count(t.right)
 
 
+def _generator_index(tok: str) -> int:
+    # an index of more digits than any rank reads as sys.maxsize, so that
+    # no string of digits is converted past the interpreter's limit
+    if len(tok) == 1:
+        return "xyz".index(tok) + 1
+    digits = tok[1:].lstrip("0")
+    return int(digits or "0") if len(digits) < 19 else sys.maxsize
+
+
 def max_var_index(text: str) -> int:
     """Largest generator index mentioned in the text, 0 if none."""
     best = 0
     for kind, tok, _ in _tokenize(text)[:-1]:
         if kind == "var":
-            best = max(best, "xyz".index(tok) + 1 if len(tok) == 1 else int(tok[1:]))
+            best = max(best, _generator_index(tok))
     return best
 
 

@@ -11,7 +11,6 @@ Generators render as x, y, z, then x4, x5, ...
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -210,6 +209,22 @@ class DifferenceClass:
     forced_sign: Optional[int] = None
 
 
+def _prefix_codes(w: tuple[int, ...], base: int):
+    """For each nonempty prefix p of w, in order: p, the integer code of p,
+    the code of p^-1 and base**len(p).
+
+    A word's code is the integer whose base-``base`` digits are its
+    letter codes; with ``base`` above every letter code, distinct words
+    get distinct codes and integers order as words do.
+    """
+    code, inverse, power = 0, 0, 1
+    for i, l in enumerate(w, 1):
+        code = code * base + _code(l)
+        inverse += _code(-l) * power
+        power *= base
+        yield w[:i], code, inverse, power
+
+
 def difference_table(
     words: Iterable[tuple[int, ...]],
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[list[tuple[int, int]]]]:
@@ -220,40 +235,65 @@ def difference_table(
     class its sorted (i, j) node-index pairs with nodes[i] * nodes[j]^-1
     equal to the representative. No Word is built.
 
-    For nodes u = p*s and v = q*s with s their longest common suffix,
-    u*v^-1 = p*q^-1 is already reduced, and so is its inverse q*p^-1, of
-    the same length; the smaller of the two, compared letterwise on codes
-    precomputed for each node and its inverse, is the representative.
+    Words are compared as integer codes (``_prefix_codes``). Nodes u = p*x
+    and v = q*x have u*v^-1 = p*q^-1, so such a pair takes the class and
+    orientation of its parents' pair, found earlier. Otherwise u*v^-1 is
+    already reduced: its code is code(u) * B**|v| + code(v^-1), that of its
+    inverse code(v) * B**|u| + code(u^-1), and the smaller is the
+    representative. A representative's letters are built once, when it
+    first appears.
     """
-    prefixes = {()}
+    words = list(words)
+    base = 2 * max((abs(l) for w in words for l in w), default=1) + 2
+    coded = {(): (0, 0, 1)}
     for w in words:
-        prefixes.update(w[:i] for i in range(1, len(w) + 1))
-    keyed = sorted((len(t), tuple(map(_code, t)), t) for t in prefixes)
-    nodes = [t for _, _, t in keyed]
-    codes = [c for _, c, _ in keyed]
-    inverse_codes = [tuple(_code(-l) for l in reversed(t)) for t in nodes]
-    by_rep: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
-    rows = list(zip(range(len(nodes)), nodes, codes, inverse_codes))
-    for i, u, u_code, u_inverse in rows:
-        nu = len(u)
-        for j, v, v_code, v_inverse in rows[i + 1 :]:
-            # c counts the common suffix; u sorts first, so it is not longer
-            c = 0
-            while c < nu and u[nu - 1 - c] == v[-1 - c]:
-                c += 1
-            d = u_code[: nu - c] + v_inverse[c:]
-            d_inverse = v_code[: len(v) - c] + u_inverse[c:]
-            if d_inverse < d:
-                by_rep[d_inverse].append((j, i))
+        for p, *values in _prefix_codes(w, base):
+            coded[p] = values
+    nodes = sorted(coded, key=lambda t: coded[t][0])
+    n = len(nodes)
+    position = {t: i for i, t in enumerate(nodes)}
+    codes, inverses, powers = zip(*map(coded.__getitem__, nodes))
+    # e has no parent, and its last letter 0 matches no other node's
+    last = [t[-1] if t else 0 for t in nodes]
+    parent = [position[t[:-1]] if t else 0 for t in nodes]
+    inverse_letters = [tuple(-l for l in reversed(t)) for t in nodes]
+    # pair i < j holds c when nodes[i] * nodes[j]^-1 is the representative
+    # of class c, ~c when nodes[j] * nodes[i]^-1 is
+    table = [0] * (n * n)
+    classes: dict[int, int] = {}
+    reps: list[tuple[int, ...]] = []
+    pairs: list[list[tuple[int, int]]] = []
+    for i in range(n):
+        u_code, u_inverse, u_power = codes[i], inverses[i], powers[i]
+        u_last, row, parents = last[i], i * n, parent[i] * n
+        for j in range(i + 1, n):
+            if last[j] == u_last:
+                c = table[parents + parent[j]]
             else:
-                by_rep[d].append((i, j))
-    reps = sorted(by_rep, key=lambda r: (len(r), r))
-    letter = {_code(l): l for t in nodes for x in t for l in (x, -x)}.__getitem__
-    return (
-        nodes,
-        [tuple(map(letter, r)) for r in reps],
-        [sorted(by_rep[r]) for r in reps],
-    )
+                d = u_code * powers[j] + inverses[j]
+                d_inverse = codes[j] * u_power + u_inverse
+                if d_inverse < d:
+                    c = classes.get(d_inverse)
+                    if c is None:
+                        c = classes[d_inverse] = len(reps)
+                        reps.append(nodes[j] + inverse_letters[i])
+                        pairs.append([])
+                    c = ~c
+                else:
+                    c = classes.get(d)
+                    if c is None:
+                        c = classes[d] = len(reps)
+                        reps.append(nodes[i] + inverse_letters[j])
+                        pairs.append([])
+            table[row + j] = c
+            if c >= 0:
+                pairs[c].append((i, j))
+            else:
+                pairs[~c].append((j, i))
+    for p in pairs:
+        p.sort()
+    ranked = [classes[d] for d in sorted(classes)]
+    return nodes, [reps[c] for c in ranked], [pairs[c] for c in ranked]
 
 
 def table_classes(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,124 @@ class TestDecide:
         assert docs[0]["verdict"] == "valid"
         count = int(docs[0]["stats"]["assignments"], 16)
         assert count.bit_length() > 2200 and count & (count - 1) == 0
+
+
+def run_limited(*argv, stdin="", seconds=60):
+    # a fresh process, with a timeout and a 1 GiB address-space limit, for
+    # inputs that once hung or ran out of memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ellgroups", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=limit,
+    )
+
+
+class TestRefusedInput:
+    # the 6-word join over F(3) whose sign search runs for minutes
+    SLOW = (
+        r"e <= x*x*x*z^-1*y \/ x*x*y*z^-1 \/ x^-1*y^-1*x^-1*z^-1*z^-1"
+        r" \/ y*x^-1*y*z^-1*y^-1 \/ y*z*x^-1*z*z \/ y^-1*x^-1*y*z*z"
+    )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_budget_binds_inside_the_sign_search(self, strict):
+        flags = ["--strict"] if strict else []
+        proc = run_limited(
+            "decide", "--group", "free:3", "--budget-ms", "300", *flags, self.SLOW
+        )
+        assert proc.returncode == (EXIT_BUDGET if strict else EXIT_OK), proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 300}]
+        assert doc["stats"]["millis"] < 5000
+
+    @pytest.mark.parametrize("depth", [100, 200, 3000])
+    def test_nesting_depth(self, depth):
+        statement = "e <= " + "(" * depth + "x" + ")" * depth
+        proc = run_limited("decide", statement)
+        if depth == 100:
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert json.loads(proc.stdout)["verdict"] == "invalid"
+        else:
+            assert proc.returncode == EXIT_PARSE
+            assert proc.stdout == ""
+            assert "statement nested too deeply" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "e <= " + "*".join(["x"] * 1500),
+            "e <= x" + "^-1" * 1500,
+            "e <= " + "x*(" * 400 + "x" + ")" * 400,
+        ],
+    )
+    def test_deep_terms(self, statement):
+        proc = run_limited("decide", statement)
+        assert proc.returncode == EXIT_PARSE
+        assert "statement nested too deeply" in proc.stderr
+
+    def test_deep_corpus_line(self, tmp_path):
+        path = tmp_path / "deep.corpus"
+        path.write_text(
+            "lg;e <= x \\/ x^-1;valid\n"
+            f"lg;e <= {'(' * 3000}x{')' * 3000};invalid\n"
+        )
+        proc = run_limited("corpus", str(path))
+        assert proc.returncode == EXIT_PARSE
+        assert "line 2: statement nested too deeply" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "group",
+        ["free:0", "zn:0", "klein:2", "free:x", "free:", "free:-1", "free: 2",
+         "free:101", "free:1000000", "free:99999999999999999999"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("decide", "e <= x"), ("extend-right", "{x}"), ("certificate", "check", "-")],
+    )
+    def test_bad_group_selector(self, group, argv):
+        proc = run_limited(*argv[:-1], "--group", group, argv[-1], seconds=30)
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decide", "e <= x101"),
+            ("decide", "e <= x100000"),
+            ("decide", "--variety", "abelian", "e <= x100000"),
+            ("decide", "e <= x" + "9" * 5000),
+            ("extend-right", "{x100000}"),
+        ],
+    )
+    def test_inferred_rank_over_the_cap(self, argv):
+        proc = run_limited(*argv, seconds=30)
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert proc.stdout == ""
+        assert "index over 100" in proc.stderr
+
+    def test_rank_at_the_cap(self, capsys):
+        code, doc = run_json(capsys, "decide", "e <= x100")
+        assert code == EXIT_OK
+        assert doc["group"] == "free:100"
+        assert len(doc["witness"]["automorphisms"]) == 100
+
+    def test_corpus_rank_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.corpus"
+        path.write_text("lg;e <= x101;invalid\n")
+        code, out = run(capsys, "corpus", str(path))
+        assert code == EXIT_PARSE
+        assert "line 1: the input names a generator" in out
 
 
 class TestExtendRight:

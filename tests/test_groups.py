@@ -18,6 +18,7 @@ from ellgroups.groups import (
     IntLatticeOracle,
     KleinBottleOracle,
     KleinElement,
+    MAX_RANK,
     canonicalize_klein,
     decide_presented_lg,
     klein_right_order_sign,
@@ -302,5 +303,13 @@ class TestOracleSelector:
 
     def test_bad_selectors(self):
         for bad in ("free", "zn:x", "kleinx", "free:0"):
+            with pytest.raises(ValueError):
+                oracle_from_selector(bad)
+
+    def test_rank_cap(self):
+        assert oracle_from_selector(f"free:{MAX_RANK}").k == MAX_RANK
+        assert oracle_from_selector("zn:007").k == 7
+        for bad in ("klein:2", "zn:0", "free:-1", "free: 2", "free:+2", "free:1_0",
+                    f"zn:{MAX_RANK + 1}", "free:" + "9" * 5000):
             with pytest.raises(ValueError):
                 oracle_from_selector(bad)

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellgroups.derivation import Unknown
 from ellgroups.terms import parse_group_word
 from ellgroups.rightorder import (
     Acyclic,
@@ -491,6 +493,60 @@ class TestSignKernel:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "bfb27acea7f6bfb4efae13d86edd63e3665f55a499c263f91a29c0f888c1bce2"
         )
+
+
+class TestLazySystem:
+    """An LgInvalid builds its Word-level system on first read."""
+
+    def test_search_builds_no_classes(self, monkeypatch):
+        def no_classes(*args):
+            raise AssertionError("difference classes built")
+
+        family = small_family(2) + random_joins(7, 40)
+        with monkeypatch.context() as m:
+            m.setattr(rightorder, "table_classes", no_classes)
+            verdicts = [(S, decide_valid_lg(S)) for S in family]
+        invalid = [(S, v) for S, v in verdicts if isinstance(v, LgInvalid)]
+        assert len(invalid) > 20
+        for S, verdict in invalid:
+            again = decide_valid_lg(S)
+            assert verdict.system == build_difference_system(S)
+            assert verdict.system is verdict.system
+            assert again == verdict and hash(again) == hash(verdict)
+            assert repr(again) == repr(verdict)
+
+    def test_given_system_is_kept(self):
+        S = words("x*x, x*y")
+        lazy = decide_valid_lg(S)
+        eager = LgInvalid(
+            build_difference_system(S),
+            lazy.signs,
+            lazy.order,
+            lazy.assignments_checked,
+            lazy.nodes_explored,
+        )
+        assert eager == lazy and hash(eager) == hash(lazy)
+        assert repr(eager) == repr(lazy)
+        assert LgInvalid(lazy.system, (-1,) * len(lazy.signs), lazy.order) != lazy
+
+
+class TestDeadline:
+    # a 6-word join over F(3) whose sign search runs for minutes
+    SLOW = (
+        "x*x*x*z^-1*y, x*x*y*z^-1, x^-1*y^-1*x^-1*z^-1*z^-1,"
+        " y*x^-1*y*z^-1*y^-1, y*z*x^-1*z*z, y^-1*x^-1*y*z*z"
+    )
+
+    def test_search_stops_past_deadline(self):
+        deadline = time.monotonic() + 0.2
+        verdict = decide_valid_lg(words(self.SLOW, 3), deadline)
+        assert verdict == Unknown(budgets={"deadline": deadline})
+        assert time.monotonic() < deadline + 5
+
+    def test_deadline_leaves_verdicts_unchanged(self):
+        deadline = time.monotonic() + 3600
+        for S in small_family(2) + random_joins(9, 30):
+            assert decide_valid_lg(S, deadline) == decide_valid_lg(S)
 
 
 class TestClaySmith:

@@ -8,6 +8,8 @@ from ellgroups.words import (
     IDENTITY,
     DifferenceClass,
     Word,
+    _code,
+    _prefix_codes,
     ball,
     concat_reduce,
     difference_classes,
@@ -236,6 +238,80 @@ class TestDifferenceTable:
     @settings(max_examples=150, deadline=None)
     def test_random_joins(self, words):
         assert difference_classes(words) == word_level_difference_classes(words)
+
+
+def letter_level_difference_table(words):
+    # the table before integer codes: each pair's quotient p*q^-1 found by a
+    # common-suffix scan and oriented by comparing per-letter code tuples
+    prefixes = {()}
+    for w in words:
+        prefixes.update(w[:i] for i in range(1, len(w) + 1))
+    keyed = sorted((len(t), tuple(map(_code, t)), t) for t in prefixes)
+    nodes = [t for _, _, t in keyed]
+    codes = [c for _, c, _ in keyed]
+    inverse_codes = [tuple(_code(-l) for l in reversed(t)) for t in nodes]
+    by_rep = {}
+    rows = list(zip(range(len(nodes)), nodes, codes, inverse_codes))
+    for i, u, u_code, u_inverse in rows:
+        nu = len(u)
+        for j, v, v_code, v_inverse in rows[i + 1 :]:
+            c = 0
+            while c < nu and u[nu - 1 - c] == v[-1 - c]:
+                c += 1
+            d = u_code[: nu - c] + v_inverse[c:]
+            d_inverse = v_code[: len(v) - c] + u_inverse[c:]
+            if d_inverse < d:
+                by_rep.setdefault(d_inverse, []).append((j, i))
+            else:
+                by_rep.setdefault(d, []).append((i, j))
+    reps = sorted(by_rep, key=lambda r: (len(r), r))
+    letter = {_code(l): l for t in nodes for x in t for l in (x, -x)}.__getitem__
+    return (
+        nodes,
+        [tuple(map(letter, r)) for r in reps],
+        [sorted(by_rep[r]) for r in reps],
+    )
+
+
+def prefix_code(w, k):
+    # the code difference_table gives the word over F(k), its inverse's
+    # code and base**len
+    steps = [((), 0, 0, 1), *_prefix_codes(w.letters, 2 * k + 2)]
+    return steps[-1][1:]
+
+
+class TestIntegerCodes:
+    """Words as integers in difference_table, against the letter-level table."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(
+                st.just(k), st.lists(reduced_words(k, max_len=7), min_size=2, max_size=8)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_codes_injective_and_ordered(self, case):
+        k, ws = case
+        coded = {w: prefix_code(w, k) for w in ws}
+        for w, (code, inverse, power) in coded.items():
+            assert inverse == prefix_code(w.inverse(), k)[0]
+            assert power == (2 * k + 2) ** len(w)
+        for a, b in itertools.combinations(coded, 2):
+            assert (coded[a][0] == coded[b][0]) == (a == b)
+            assert (coded[a][0] < coded[b][0]) == (a.key < b.key)
+
+    def test_radius_two_family(self):
+        for S in punctured_ball_subsets(2, 2, 3):
+            letters = [w.letters for w in S]
+            assert difference_table(letters) == letter_level_difference_table(letters), S
+
+    def test_seeded_rank_three_joins(self):
+        rng = random.Random(3)
+        pool = sorted(w for w in ball(3, 5) if w != IDENTITY)
+        for _ in range(300):
+            letters = [w.letters for w in rng.sample(pool, rng.randint(1, 6))]
+            assert difference_table(letters) == letter_level_difference_table(letters)
 
 
 class TestBall:
