@@ -77,6 +77,27 @@ def pinned_statements():
                        template.format(a=a, b=b))
 
 
+def more_pinned_runs():
+    """The runs the default-method pin does not reach: the truncated and
+    derivation methods over free:2, rg with no derivation search,
+    extend-right over each kind of group, and the bundled corpus."""
+    free2 = [argv[-1] for argv in pinned_statements() if argv[2:5] == ("lg", "--group", "free:2")]
+    for statement in free2:
+        for method in ("truncated", "derivation"):
+            yield ("decide", "--group", "free:2", "--method", method, statement)
+    for statement in free2:
+        yield ("decide", "--variety", "rg", "--group", "free:2", "--max-depth", "0", statement)
+    rng = random.Random(11)
+    for group in ("free:2", "zn:2", "klein"):
+        for _ in range(12):
+            words = (
+                render_word(word(rng.choices((1, -1, 2, -2), k=rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 3))
+            )
+            yield ("extend-right", "--group", group, "{" + ", ".join(words) + "}")
+    yield ("corpus", str(CORPUS))
+
+
 class TestDecide:
     def test_valid_lg_statement(self, capsys):
         code, doc = run_json(
@@ -225,6 +246,21 @@ class TestDecide:
         assert len(lines) == 147
         assert digest == (
             "6292f0f0b34ae6cdd0b0cf4d0b996432f8f41b488ef600dbbd200d44d82cfd96"
+        )
+
+    def test_more_outputs_pinned(self, capsys):
+        # recorded before `decide` and `corpus` shared one decide path;
+        # the corpus prints text, every other run one JSON document
+        lines = []
+        for argv in more_pinned_runs():
+            code, out = run(capsys, *argv)
+            if argv[0] != "corpus":
+                out = json.dumps(strip_millis(json.loads(out)), sort_keys=True)
+            lines.append(f"{code} {out}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert len(lines) == 100
+        assert digest == (
+            "dcfb4bb4121e8271371d0222ed9ec6febdb0fa780e2e3f82f3a6804f761c4c4a"
         )
 
     def test_count_past_decimal_limit(self):
