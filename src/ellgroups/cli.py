@@ -4,7 +4,8 @@ right orders, re-check certificates, and run regression corpora.
 Exit codes: 0 for any decided or unknown result, 1 for a failed corpus
 line or rejected certificate, 2 for parse errors and refused input (a bad
 group selector or rank, a statement too large or nested too deeply), 3 for
-budget-exceeded under --strict, 4 for an invalid method/group combination.
+budget-exceeded under --strict, 4 for an invalid method/group combination,
+which is reported before the statement is parsed.
 """
 
 from __future__ import annotations
@@ -96,33 +97,21 @@ def _truncated_json(order: rightorder.TruncatedRightOrder) -> dict:
     return {"l": order.l, "positives": _word_list(order.positives)}
 
 
-def _decide_joinset_lg(join, oracle, method: str, args, deadline=None) -> dict:
-    is_free = isinstance(oracle, groups.FreeGroupOracle)
-    if method == "auto":
-        method = "cis" if is_free else "presented"
-    if method in ("cis", "truncated") and not is_free:
-        raise BadCombination(f"method {method} requires a free group")
+def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
+    """The entry of one join set, decided for args.variety over the oracle
+    by args.method; None when the deadline passes before it is decided."""
+    if deadline is not None and time.monotonic() > deadline:
+        return None
     out: dict = {"join": _word_list(join)}
-    if method == "cis":
-        verdict = rightorder.decide_valid_lg(join, deadline)
-        if isinstance(verdict, derivation.Unknown):
-            out.update(_past_budget(args))
-            return out
-        out["assignments"] = verdict.assignments_checked
-        out["nodes"] = verdict.nodes_explored
-        if isinstance(verdict, LgValid):
-            out["verdict"] = "valid"
-        else:
-            out["verdict"] = "invalid"
-            out["witness"] = _sign_witness_json(verdict, oracle.k)
-    elif method == "truncated":
-        witness = rightorder.clay_smith(join, oracle.k)
-        if witness is None:
-            out["verdict"] = "valid"
-        else:
-            out["verdict"] = "invalid"
-            out["witness"] = _truncated_json(witness)
-    elif method == "derivation":
+    if args.variety == "rg":
+        budgets = biorder.RgBudgets(
+            search_depth=args.max_depth, universe_cap=args.universe_cap
+        )
+        verdict = biorder.decide_valid_rg(join, oracle.k, budgets)
+        out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER))
+    elif args.variety == "abelian":
+        out.update(_abelian_json(join, oracle))
+    elif args.method == "derivation":
         tree = derivation.search(
             frozenset(oracle.canonicalize(w) for w in join),
             derivation.RuleSystem.RIGHT_ORDER,
@@ -141,23 +130,44 @@ def _decide_joinset_lg(join, oracle, method: str, args, deadline=None) -> dict:
             out["certificate"] = derivation.tree_to_json(
                 tree, derivation.RuleSystem.RIGHT_ORDER, oracle
             )
-    else:  # presented
+    elif not isinstance(oracle, groups.FreeGroupOracle):  # auto
         verdict = groups.decide_presented_lg(
-            join, oracle, radius=args.radius, depth=args.max_depth
+            join,
+            oracle,
+            radius=args.radius,
+            depth=args.max_depth,
+            universe_cap=args.universe_cap,
         )
-        out.update(_verdict_json(verdict, oracle))
+        out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.RIGHT_ORDER))
+    elif args.method == "truncated":
+        witness = rightorder.clay_smith(join, oracle.k, deadline)
+        if isinstance(witness, derivation.Unknown):
+            return None
+        if witness is None:
+            out["verdict"] = "valid"
+        else:
+            out["verdict"] = "invalid"
+            out["witness"] = _truncated_json(witness)
+    else:  # cis, also for auto
+        verdict = rightorder.decide_valid_lg(join, deadline)
+        if isinstance(verdict, derivation.Unknown):
+            return None
+        out["assignments"] = verdict.assignments_checked
+        out["nodes"] = verdict.nodes_explored
+        if isinstance(verdict, LgValid):
+            out["verdict"] = "valid"
+        else:
+            out["verdict"] = "invalid"
+            out["witness"] = _sign_witness_json(verdict, oracle.k)
     return out
 
 
-def _verdict_json(verdict, oracle) -> dict:
+def _verdict_json(verdict, oracle, system: derivation.RuleSystem) -> dict:
+    """A derivation.Valid, Invalid or Unknown as JSON, with its certificate
+    written in the rule system it was derived in."""
     if isinstance(verdict, derivation.Valid):
         out = {"verdict": "valid", "method": verdict.method}
         if verdict.certificate is not None:
-            system = (
-                derivation.RuleSystem.BI_ORDER
-                if any(n.rule == "exchange" for n in _walk(verdict.certificate))
-                else derivation.RuleSystem.RIGHT_ORDER
-            )
             out["certificate"] = derivation.tree_to_json(
                 verdict.certificate, system, oracle
             )
@@ -166,67 +176,30 @@ def _verdict_json(verdict, oracle) -> dict:
         return out
     if isinstance(verdict, derivation.Invalid):
         witness = verdict.witness
-        if isinstance(witness, LgInvalid):
-            witness = _sign_witness_json(witness, oracle.k)
         return {"verdict": "invalid", "method": verdict.method, "witness": witness}
     return {"verdict": "unknown", "budgets": dict(verdict.budgets)}
 
 
-def _walk(tree):
-    yield tree
-    for c in tree.children:
-        yield from _walk(c)
-
-
-def _decide_joinset_rg(join, k: int, args) -> dict:
-    budgets = biorder.RgBudgets(
-        search_depth=args.max_depth, universe_cap=args.universe_cap
-    )
-    verdict = biorder.decide_valid_rg(join, k, budgets)
-    out: dict = {"join": _word_list(join)}
-    if isinstance(verdict, derivation.Valid):
-        out["verdict"] = "valid"
-        out["method"] = verdict.method
-        if verdict.certificate is not None:
-            out["certificate"] = derivation.tree_to_json(
-                verdict.certificate,
-                derivation.RuleSystem.BI_ORDER,
-                groups.FreeGroupOracle(k),
-            )
-    elif isinstance(verdict, derivation.Invalid):
-        out["verdict"] = "invalid"
-        out["witness"] = {
-            "epsilon": list(verdict.witness["epsilon"]),
-            "perm": list(verdict.witness["perm"]),
-            "sign": verdict.witness["sign"],
-        }
-    else:
-        out["verdict"] = "unknown"
-        out["budgets"] = dict(verdict.budgets)
-    return out
-
-
-def _decide_joinset_abelian(join, oracle, args) -> dict:
-    out: dict = {"join": _word_list(join)}
+def _abelian_json(join, oracle) -> dict:
     points = frozenset(oracle.canonicalize(w) for w in join)
     if oracle.identity in points:
-        out["verdict"] = "valid"
-        out["method"] = "identity"
-        return out
+        return {"verdict": "valid", "method": "identity"}
     outcome = biorder.decide_abelian_order_extension(points, oracle.k)
     if isinstance(outcome, biorder.DoesNotExtend):
-        out["verdict"] = "valid"
-        out["method"] = "abelian-duality"
-        out["certificate"] = {
-            "combination": [
-                {"vector": list(v), "count": c} for v, c in outcome.combination
-            ]
+        return {
+            "verdict": "valid",
+            "method": "abelian-duality",
+            "certificate": {
+                "combination": [
+                    {"vector": list(v), "count": c} for v, c in outcome.combination
+                ]
+            },
         }
-    else:
-        out["verdict"] = "invalid"
-        out["method"] = "abelian-duality"
-        out["witness"] = {"functional": list(outcome.functional)}
-    return out
+    return {
+        "verdict": "invalid",
+        "method": "abelian-duality",
+        "witness": {"functional": list(outcome.functional)},
+    }
 
 
 def _oracle(selector: str):
@@ -264,19 +237,50 @@ def _statement_joinsets(text: str, k: int, max_term_nodes: int):
         raise Refused("statement nested too deeply") from None
 
 
-def _pick_oracle(args, statement_text: str):
+# the methods each variety takes over each kind of group, the kind being
+# the group's name up to any ":"
+METHODS = {
+    ("lg", "free"): ("auto", "cis", "truncated", "derivation"),
+    ("lg", "zn"): ("auto", "derivation"),
+    ("lg", "klein"): ("auto", "derivation"),
+    ("rg", "free"): ("auto", "derivation"),
+    ("abelian", "zn"): ("auto",),
+}
+
+
+def _check_method(variety: str, oracle, method: str) -> None:
+    methods = METHODS.get((variety, oracle.name.split(":")[0]))
+    if methods is None:
+        raise BadCombination(f"variety {variety} is not decided over {oracle.name}")
+    if method not in methods:
+        raise BadCombination(
+            f"method {method} does not apply to variety {variety} over {oracle.name}"
+        )
+
+
+def _decide_statement(args, deadline) -> tuple:
+    """The oracle and the entries of args.statement's join sets, decided
+    up to the first invalid one. Raises BadCombination before the
+    statement is parsed, then terms.ParseError or Refused."""
     selector = args.group
     if selector is None:
-        k = _inferred_rank(statement_text)
+        k = _inferred_rank(args.statement)
         selector = f"zn:{k}" if args.variety == "abelian" else f"free:{k}"
     oracle = _oracle(selector)
-    if args.variety == "rg" and not isinstance(oracle, groups.FreeGroupOracle):
-        raise BadCombination("variety rg is decided over free groups only")
-    if args.variety == "abelian" and not isinstance(
-        oracle, groups.IntLatticeOracle
-    ):
-        raise BadCombination("variety abelian requires a zn:K group")
-    return oracle
+    _check_method(args.variety, oracle, args.method)
+    results = []
+    for join in _statement_joinsets(args.statement, oracle.k, args.max_term_nodes):
+        entry = _decide_join(join, oracle, args, deadline)
+        if entry is None:
+            entry = {
+                "join": _word_list(join),
+                "verdict": "unknown",
+                "budgets": {"budget_ms": args.budget_ms},
+            }
+        results.append(entry)
+        if entry["verdict"] == "invalid":
+            break
+    return oracle, results
 
 
 def _aggregate(results: list[dict]) -> str:
@@ -293,16 +297,11 @@ def _refused(exc: Refused) -> int:
     return EXIT_PARSE
 
 
-def _past_budget(args) -> dict:
-    return {"verdict": "unknown", "budgets": {"budget_ms": args.budget_ms}}
-
-
 def run_decide(args) -> int:
     started = time.monotonic()
     deadline = None if args.budget_ms is None else started + args.budget_ms / 1000
     try:
-        oracle = _pick_oracle(args, args.statement)
-        joinsets = _statement_joinsets(args.statement, oracle.k, args.max_term_nodes)
+        oracle, results = _decide_statement(args, deadline)
     except BadCombination as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
@@ -311,34 +310,6 @@ def run_decide(args) -> int:
         return EXIT_PARSE
     except Refused as exc:
         return _refused(exc)
-
-    results = []
-    try:
-        for join in joinsets:
-            if deadline is not None and time.monotonic() > deadline:
-                results.append({"join": _word_list(join), **_past_budget(args)})
-                continue
-            if args.variety == "lg":
-                results.append(
-                    _decide_joinset_lg(join, oracle, args.method, args, deadline)
-                )
-            elif args.variety == "rg":
-                if args.method not in ("auto", "derivation"):
-                    raise BadCombination(
-                        f"method {args.method} does not apply to variety rg"
-                    )
-                results.append(_decide_joinset_rg(join, oracle.k, args))
-            else:
-                if args.method != "auto":
-                    raise BadCombination(
-                        f"method {args.method} does not apply to variety abelian"
-                    )
-                results.append(_decide_joinset_abelian(join, oracle, args))
-            if results[-1]["verdict"] == "invalid":
-                break
-    except BadCombination as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_COMBINATION
 
     verdict = _aggregate(results)
     doc: dict = {
@@ -488,8 +459,16 @@ def run_corpus(args) -> int:
             print(f"line {lineno}: bad expected verdict {expected!r}")
             return EXIT_PARSE
         total += 1
+        # decided as `decide` decides it with no --group, --method,
+        # --radius or --budget-ms
+        line_args = argparse.Namespace(
+            **vars(args), variety=variety, statement=statement,
+            group=None, method="auto", radius=None, budget_ms=None,
+        )
         try:
-            verdict = _corpus_decide(variety, statement, args)
+            verdict = _aggregate(_decide_statement(line_args, None)[1])
+        except terms.ParseError:
+            verdict = "parse-error"
         except Refused as exc:
             print(f"line {lineno}: {exc}")
             return EXIT_PARSE
@@ -502,47 +481,6 @@ def run_corpus(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _corpus_decide(variety: str, statement: str, args) -> str:
-    k = _inferred_rank(statement)
-    try:
-        joinsets = _statement_joinsets(statement, k, args.max_term_nodes)
-    except terms.ParseError:
-        return "parse-error"
-    verdicts = []
-    for join in joinsets:
-        if variety == "lg":
-            v = rightorder.decide_valid_lg(join)
-            verdicts.append("valid" if isinstance(v, LgValid) else "invalid")
-        elif variety == "rg":
-            budgets = biorder.RgBudgets(
-                search_depth=args.max_depth, universe_cap=args.universe_cap
-            )
-            v = biorder.decide_valid_rg(join, k, budgets)
-            if isinstance(v, derivation.Valid):
-                verdicts.append("valid")
-            elif isinstance(v, derivation.Invalid):
-                verdicts.append("invalid")
-            else:
-                verdicts.append("unknown")
-        else:
-            oracle = groups.IntLatticeOracle(k)
-            points = frozenset(oracle.canonicalize(w) for w in join)
-            if oracle.identity in points:
-                verdicts.append("valid")
-            else:
-                outcome = biorder.decide_abelian_order_extension(points, k)
-                verdicts.append(
-                    "valid"
-                    if isinstance(outcome, biorder.DoesNotExtend)
-                    else "invalid"
-                )
-        if verdicts[-1] == "invalid":
-            return "invalid"
-    if "unknown" in verdicts:
-        return "unknown"
-    return "valid"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellgroups",
@@ -550,26 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
         "and right-order extension over free groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups_help = f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK}"
 
-    def common(p):
-        p.add_argument(
-            "--group", default=None,
-            help=f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK};"
-            " without it, free:K (zn:K for --variety abelian) with K the"
-            " highest generator index in the input",
-        )
+    def search_options(p):
         p.add_argument("--max-depth", type=int, default=5)
         p.add_argument("--universe-cap", type=int, default=32)
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--budget-ms", type=int, default=None)
         p.add_argument(
             "--max-term-nodes", type=int, default=10_000,
             help="reject statements whose syntax tree is larger than this "
             "(normalization can be exponential in it)",
         )
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (the default)")
-        p.add_argument("--strict", action="store_true")
 
     p_decide = sub.add_parser("decide", help="decide a statement")
     p_decide.add_argument("statement")
@@ -581,29 +509,42 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("cis", "truncated", "derivation", "auto"),
         default="auto",
     )
-    common(p_decide)
+    p_decide.add_argument(
+        "--group", default=None,
+        help=groups_help + "; without it, free:K (zn:K for --variety abelian)"
+        " with K the highest generator index in the input",
+    )
+    search_options(p_decide)
+    p_decide.add_argument("--radius", type=int, default=None)
+    p_decide.add_argument(
+        "--budget-ms", type=int, default=None,
+        help="checked between join sets and inside the cis and truncated"
+        " searches",
+    )
+    p_decide.add_argument("--strict", action="store_true")
     p_decide.set_defaults(func=run_decide)
 
     p_extend = sub.add_parser(
         "extend-right", help="extend a word set to a right order"
     )
     p_extend.add_argument("words", help="word-set literal such as '{x*x, y}'")
-    common(p_extend)
+    p_extend.add_argument(
+        "--group", default=None,
+        help=groups_help + "; without it, free:K with K the highest"
+        " generator index in the input",
+    )
     p_extend.set_defaults(func=run_extend_right)
 
     p_cert = sub.add_parser("certificate", help="certificate utilities")
     cert_sub = p_cert.add_subparsers(dest="certificate_command", required=True)
     p_check = cert_sub.add_parser("check", help="re-verify a certificate JSON")
     p_check.add_argument("path", help="certificate file, or - for stdin")
-    p_check.add_argument(
-        "--group", default="free:2",
-        help=f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK}",
-    )
+    p_check.add_argument("--group", default="free:2", help=groups_help)
     p_check.set_defaults(func=run_certificate_check)
 
     p_corpus = sub.add_parser("corpus", help="run a regression corpus")
     p_corpus.add_argument("path")
-    common(p_corpus)
+    search_options(p_corpus)
     p_corpus.set_defaults(func=run_corpus)
 
     return parser

@@ -28,14 +28,12 @@ from .derivation import (
     DerivationTree,
     Invalid,
     RuleSystem,
-    Unknown,
     Valid,
     bounded_closure_with_parents,
     closure_leaf,
     leaf,
     product_witness,
 )
-from .rightorder import LgInvalid, LgValid, decide_valid_lg
 from .words import IDENTITY, Word, ball as free_ball
 
 __all__ = [
@@ -210,14 +208,6 @@ class KleinBottleOracle:
                 out.append(KleinElement(m, n))
         return sorted(out, key=lambda g: (self.length(g), g))
 
-    # this group carries exactly four right orders, so a complete
-    # enumeration is part of the oracle surface
-    def right_order_variants(self) -> tuple[int, ...]:
-        return (1, 2, 3, 4)
-
-    def right_order_sign(self, g: KleinElement, variant: int) -> int:
-        return klein_right_order_sign(g, variant)
-
 
 _KLEIN = KleinBottleOracle()
 
@@ -296,20 +286,20 @@ def decide_presented_lg(
     depth: int = 4,
     universe_cap: int = 32,
 ):
-    """Decide e <= join in lattice-ordered groups satisfying the oracle's
-    relations (the oracle's group must be right-orderable).
+    """Decide e <= join in lattice-ordered groups satisfying the relations
+    of the Klein bottle group or of Z^k; ValueError for any other oracle.
 
-    A join holding the identity is valid at once. Refutation comes next
-    where it is complete and cheap: a Klein bottle join inside one of the
+    A join holding the identity is valid at once. Refutation comes next,
+    being complete and cheap: a Klein bottle join inside one of the
     group's four right orders, or a Z^k join on which some functional is
     strictly positive, is invalid, and no certificate is searched for.
     Certificates come after: an identity in the bounded product closure
     of the canonical join images, then derivation search. Without one,
-    free groups delegate to the difference-system decider, the Klein
-    bottle is valid (no right order holds the join), and Z^k yields a
-    vanishing combination by exact linear duality. Other oracles fall
-    back to Unknown when no certificate is found.
+    the Klein bottle join is valid (no right order holds it), and a Z^k
+    join yields a vanishing combination by exact linear duality.
     """
+    if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
+        raise ValueError("the presented-group decider takes klein or zn:K")
     join = frozenset(join)
     if not join:
         raise ValueError("empty join set")
@@ -340,28 +330,12 @@ def decide_presented_lg(
     if isinstance(oracle, KleinBottleOracle):
         return Valid(None, "klein-orders", {"cones_checked": 4})
 
-    if isinstance(oracle, FreeGroupOracle):
-        verdict = decide_valid_lg(canonical)
-        if isinstance(verdict, LgValid):
-            return Valid(
-                None,
-                "difference-system",
-                {"assignments_checked": verdict.assignments_checked},
-            )
-        assert isinstance(verdict, LgInvalid)
-        return Invalid(witness=verdict, method="difference-system")
+    from .biorder import decide_abelian_order_extension
 
-    if isinstance(oracle, IntLatticeOracle):
-        from .biorder import decide_abelian_order_extension
-
-        # no functional: the dichotomy yields a combination
-        outcome = decide_abelian_order_extension(canonical, oracle.k)
-        seq = [elem for elem, count in outcome.combination for _ in range(count)]
-        return Valid(closure_leaf(canonical, seq), "abelian-duality")
-
-    return Unknown(
-        budgets={"radius": radius, "depth": depth, "universe_cap": universe_cap}
-    )
+    # no functional: the dichotomy yields a combination
+    outcome = decide_abelian_order_extension(canonical, oracle.k)
+    seq = [elem for elem, count in outcome.combination for _ in range(count)]
+    return Valid(closure_leaf(canonical, seq), "abelian-duality")
 
 
 def oracle_from_selector(selector: str):

@@ -525,7 +525,9 @@ def product_closure_in_ball(words: Iterable[Word], l: int) -> frozenset[Word]:
     return frozenset(map(reduced_word, closed))
 
 
-def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
+def clay_smith(
+    words: Iterable[Word], k: int, deadline: Optional[float] = None
+) -> Union[TruncatedRightOrder, None, Unknown]:
     """Decide right-order extension in F(k) by truncated-order backtracking.
 
     With l the maximal input length, the input is closed under in-ball
@@ -539,6 +541,10 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
     cone, which is already closed, and re-closes it from the one adjoined
     element only, stopping as soon as e enters. Raises ValueError on a
     word with a letter outside F(k).
+
+    With a ``deadline`` (a ``time.monotonic()`` instant), each branch
+    checks the clock before it closes, and one past it returns
+    ``Unknown`` naming the deadline.
     """
     start = frozenset(words)
     for w in start:
@@ -557,16 +563,19 @@ def clay_smith(words: Iterable[Word], k: int) -> Optional[TruncatedRightOrder]:
         if 0 in cone:
             if not pending:
                 return None
-            parent, t = pending.pop()
-            cone = _close(ix, parent, (inverse[t],))
-            continue
-        while t < ix.interior and (t in cone or inverse[t] in cone):
-            t += 1
-        if t == ix.interior:
-            positives = frozenset(ix.words[i] for i in cone)
-            return TruncatedRightOrder(rank=k, l=l, positives=positives)
-        pending.append((cone, t))
-        cone = _close(ix, cone, (t,))
+            cone, t = pending.pop()
+            adjoined = inverse[t]
+        else:
+            while t < ix.interior and (t in cone or inverse[t] in cone):
+                t += 1
+            if t == ix.interior:
+                positives = frozenset(ix.words[i] for i in cone)
+                return TruncatedRightOrder(rank=k, l=l, positives=positives)
+            pending.append((cone, t))
+            adjoined = t
+        if deadline is not None and time.monotonic() > deadline:
+            return Unknown(budgets={"deadline": deadline})
+        cone = _close(ix, cone, (adjoined,))
 
 
 class WitnessError(RuntimeError):

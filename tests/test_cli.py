@@ -178,6 +178,31 @@ class TestDecide:
         )
         assert code == EXIT_BAD_COMBINATION
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--budget-ms", "0", "--strict", "--group", "klein", "--method", "cis",
+             "e <= x"),
+            ("--variety", "rg", "--method", "truncated", "--budget-ms", "0", "e <= x"),
+            ("--group", "klein", "--method", "cis", "e <= x**"),
+        ],
+    )
+    def test_bad_combination_comes_first(self, capsys, argv):
+        # before the budget is looked at, and before the statement is parsed
+        assert main(["decide", *argv]) == EXIT_BAD_COMBINATION
+        assert capsys.readouterr().out == ""
+
+    def test_universe_cap_reaches_the_presented_decider(self, capsys):
+        statement = r"e <= x*x*y \/ x^-1*x^-1"
+        methods = []
+        for cap in ("0", "32"):
+            code, doc = run_json(
+                capsys, "decide", "--group", "klein", "--universe-cap", cap, statement
+            )
+            assert code == EXIT_OK and doc["verdict"] == "valid"
+            methods += [c["method"] for c in doc["certificate"]]
+        assert methods == ["klein-orders", "derivation-search"]
+
     def test_derivation_method(self, capsys):
         code, doc = run_json(
             capsys,
@@ -319,6 +344,17 @@ class TestRefusedInput:
         assert doc["verdict"] == "unknown"
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 300}]
         assert doc["stats"]["millis"] < 5000
+
+    def test_budget_binds_inside_the_truncated_search(self):
+        proc = run_limited(
+            "decide", "--method", "truncated", "--budget-ms", "100",
+            "e <= x*y*x*y*x*y*x*y", seconds=30,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 100}]
+        assert doc["stats"]["millis"] < 3000
 
     @pytest.mark.parametrize("depth", [100, 200, 3000])
     def test_nesting_depth(self, depth):
@@ -568,6 +604,27 @@ class TestRepeatedCalls:
             assert strip_millis(json.loads(out)) == strip_millis(
                 json.loads(proc.stdout)
             ), argv
+
+
+class TestOptions:
+    # a subcommand takes only the options it reads
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decide", "--json", "e <= x"),
+            ("extend-right", "--max-depth", "3", "{x}"),
+            ("extend-right", "--strict", "{x}"),
+            ("corpus", "--group", "free:2", str(CORPUS)),
+            ("corpus", "--radius", "3", str(CORPUS)),
+            ("corpus", "--budget-ms", "10", str(CORPUS)),
+            ("corpus", "--strict", str(CORPUS)),
+        ],
+    )
+    def test_unread_options_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEntryPoint:

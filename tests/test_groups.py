@@ -7,7 +7,6 @@ from ellgroups import derivation, groups
 from ellgroups.derivation import (
     Invalid,
     RuleSystem,
-    Unknown,
     Valid,
     bounded_closure_with_parents,
     check,
@@ -190,13 +189,10 @@ class TestDecidePresented:
         verdict = decide_presented_lg(join, KLEIN, radius=2, depth=0)
         assert verdict == Valid(None, "klein-orders", {"cones_checked": 4})
 
-    def test_free_delegation(self):
-        verdict = decide_presented_lg(
-            {W("x*x"), W("y*y"), W("x^-1*y^-1")}, F2
-        )
-        assert isinstance(verdict, Valid)
-        verdict = decide_presented_lg({W("x*x"), W("x*y"), W("y*x^-1")}, F2)
-        assert isinstance(verdict, Invalid)
+    def test_other_oracles_refused(self):
+        # free groups go to the complete free-group deciders instead
+        with pytest.raises(ValueError):
+            decide_presented_lg({W("x*x"), W("x*y"), W("y*x^-1")}, F2)
 
     def test_integer_mixed_signs_characterization(self):
         # membership holds exactly when the set has an element <= 0 and one >= 0
@@ -214,27 +210,6 @@ class TestDecidePresented:
         verdict = decide_presented_lg(words, Z1)
         assert isinstance(verdict, Valid)
         assert verdict.certificate.rule == "leaf"
-
-    def test_unknown_for_oracle_without_complete_fallback(self):
-        class OpaqueOracle:
-            """Free arithmetic behind a face the complete deciders don't know."""
-
-            k = 2
-            name = "opaque"
-            identity = IDENTITY
-
-            def __getattr__(self, attr):
-                return getattr(F2, attr)
-
-        # a certificate is still found where one exists in budget
-        verdict = decide_presented_lg(
-            {W("x"), W("x^-1")}, OpaqueOracle(), depth=1
-        )
-        assert isinstance(verdict, Valid)
-        # with no complete fallback, a right-order-extendable set is Unknown
-        verdict = decide_presented_lg({W("x*x")}, OpaqueOracle(), depth=1)
-        assert isinstance(verdict, Unknown)
-        assert "depth" in verdict.budgets
 
 
 class TestRefuteFirst:

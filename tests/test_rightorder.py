@@ -548,6 +548,17 @@ class TestDeadline:
         for S in small_family(2) + random_joins(9, 30):
             assert decide_valid_lg(S, deadline) == decide_valid_lg(S)
 
+    def test_truncated_search_stops_past_deadline(self):
+        deadline = time.monotonic() + 0.2
+        verdict = clay_smith(words("x*y*x*y*x*y*x*y"), 2, deadline)
+        assert verdict == Unknown(budgets={"deadline": deadline})
+        assert time.monotonic() < deadline + 5
+
+    def test_truncated_verdicts_unchanged_by_deadline(self):
+        deadline = time.monotonic() + 3600
+        for S in small_family(2):
+            assert clay_smith(S, 2, deadline) == clay_smith(S, 2)
+
 
 class TestClaySmith:
     def test_not_extendable(self):
