@@ -16,15 +16,15 @@ integer vectors extends to a group order of Z^k if and only if some
 rational functional is strictly positive on it, and otherwise a nonzero
 nonnegative integer combination of the vectors sums to zero. Exactly one
 of the two exists; feasibility runs by exact Fourier-Motzkin
-elimination, and the vanishing combination by growing brute force.
+elimination on integers, and the vanishing combination by growing brute
+force.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Iterable, Optional, Union
 
 from . import derivation
@@ -224,67 +224,80 @@ class DoesNotExtend:
     combination: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _fourier_motzkin(
-    rows: list[tuple[list[Fraction], Fraction]], k: int
-) -> Optional[list[Fraction]]:
-    """Feasibility of {coeffs . phi >= const}; returns a witness or None."""
+def _fourier_motzkin(rows: list[tuple[int, ...]], k: int) -> Optional[tuple[int, ...]]:
+    """Feasibility of {coeffs . phi >= const} over the rationals, by
+    fraction-free elimination; returns the smallest positive integer
+    multiple of the rational witness, or None.
+
+    A row is a tuple of integers, coefficients then constant. Eliminating
+    a variable adds |c_s| r + c_r s for every row r with c_r > 0 and every
+    row s with c_s < 0, divided by the gcd of its entries: scaling a row by
+    a positive number leaves the bound it gives unchanged, so every stage
+    and the witness match elimination over the rationals.
+    """
     stages = []
     current = rows
-    for var in range(k):
-        lowers = []  # phi_var >= bound(rest)
-        uppers = []  # phi_var <= bound(rest)
+    for _ in range(k):
+        lowers = []  # c > 0: phi_var >= (const - tail . rest) / c
+        uppers = []  # c < 0: phi_var <= (const - tail . rest) / c
         rest = []
-        for coeffs, const in current:
-            c = coeffs[0]
-            tail = coeffs[1:]
-            # a bound reads phi_var >= (or <=) const + coefs . remaining
-            if c > 0:
-                lowers.append(([-x / c for x in tail], const / c))
-            elif c < 0:
-                uppers.append(([-x / c for x in tail], const / c))
+        for row in current:
+            if row[0] > 0:
+                lowers.append(row)
+            elif row[0] < 0:
+                uppers.append(row)
             else:
-                rest.append((tail, const))
-        for lo_c, lo_b in lowers:
-            for up_c, up_b in uppers:
-                # lower bound <= upper bound
-                rest.append(([u - l for l, u in zip(lo_c, up_c)], lo_b - up_b))
+                rest.append(row[1:])
+        for r in lowers:
+            cr = r[0]
+            for s in uppers:
+                cs = -s[0]
+                combined = [cs * a + cr * b for a, b in zip(r[1:], s[1:])]
+                # the constants start at 1 and combine with positive
+                # weights, so the gcd is never 0
+                g = gcd(*combined)
+                rest.append(tuple(x // g for x in combined))
         stages.append((lowers, uppers))
         current = rest
-    for coeffs, const in current:
+    for (const,) in current:
         if const > 0:
             return None
-    phi: list[Fraction] = []
-    for var in range(k - 1, -1, -1):
-        lowers, uppers = stages[var]
-        lo = max(
-            (b + sum(c * p for c, p in zip(cs, phi)) for cs, b in lowers),
-            default=None,
-        )
-        hi = min(
-            (b + sum(c * p for c, p in zip(cs, phi)) for cs, b in uppers),
-            default=None,
-        )
+    # phi_{var+1..k-1} = nums / den, den > 0 and gcd(den, *nums) = 1
+    nums: list[int] = []
+    den = 1
+    for lowers, uppers in reversed(stages):
+        # a bound is n / (c * den) with c > 0, kept as (n, c)
+        lo = hi = None
+        for row in lowers:
+            n = row[-1] * den - sum(a * x for a, x in zip(row[1:-1], nums))
+            if lo is None or n * lo[1] > lo[0] * row[0]:
+                lo = (n, row[0])
+        for row in uppers:
+            n = sum(a * x for a, x in zip(row[1:-1], nums)) - row[-1] * den
+            if hi is None or n * hi[1] < hi[0] * -row[0]:
+                hi = (n, -row[0])
         if lo is None and hi is None:
-            value = Fraction(0)
+            n, c = 0, 1
         elif lo is None:
-            value = hi
+            n, c = hi
         elif hi is None:
-            value = lo
+            n, c = lo
         else:
-            value = (lo + hi) / 2
-        phi.insert(0, value)
-    return phi
+            n, c = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        den *= c
+        nums = [n] + [x * c for x in nums]
+        g = gcd(den, *nums)
+        den //= g
+        nums = [x // g for x in nums]
+    return tuple(nums)
 
 
 _COMBINATION_CAP = 512  # safety net; duality guarantees a hit long before
 
 
-def positive_functional(
-    vectors: Iterable[tuple[int, ...]], k: int
-) -> Optional[tuple[int, ...]]:
-    """A strictly positive integer functional on a finite set of nonzero
-    vectors of Z^k, found by exact Fourier-Motzkin elimination and
-    re-verified by substitution, or None when none exists."""
+def _vector_set(vectors: Iterable[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """The distinct vectors in ascending order; ValueError for an empty
+    set, a vector of another length or the zero vector."""
     vs = sorted(set(tuple(v) for v in vectors))
     if not vs:
         raise ValueError("empty vector set")
@@ -292,16 +305,27 @@ def positive_functional(
         raise ValueError("vector length differs from rank")
     if any(all(x == 0 for x in v) for v in vs):
         raise ValueError("the zero vector never extends to an order")
+    return vs
 
-    rows = [([Fraction(x) for x in v], Fraction(1)) for v in vs]
-    phi = _fourier_motzkin(rows, k)
-    if phi is None:
-        return None
-    scale = lcm(*(f.denominator for f in phi)) if phi else 1
-    functional = tuple(int(f * scale) for f in phi)
-    for v in vs:
-        assert sum(c * x for c, x in zip(functional, v)) > 0
+
+def _checked_functional(vs: list[tuple[int, ...]], k: int) -> Optional[tuple[int, ...]]:
+    functional = _fourier_motzkin([v + (1,) for v in vs], k)
+    if functional is not None:
+        for v in vs:
+            if sum(c * x for c, x in zip(functional, v)) <= 0:
+                raise RuntimeError(
+                    f"functional {functional} is not positive on {v}"
+                )
     return functional
+
+
+def positive_functional(
+    vectors: Iterable[tuple[int, ...]], k: int
+) -> Optional[tuple[int, ...]]:
+    """A strictly positive integer functional on a finite set of nonzero
+    vectors of Z^k, found by exact Fourier-Motzkin elimination on integers
+    and re-verified by substitution, or None when none exists."""
+    return _checked_functional(_vector_set(vectors, k), k)
 
 
 def decide_abelian_order_extension(
@@ -313,19 +337,17 @@ def decide_abelian_order_extension(
     nonnegative integer combination of the vectors summing to zero.
     Witnesses are re-verified by substitution before returning.
     """
-    vectors = tuple(vectors)
-    functional = positive_functional(vectors, k)
+    vs = _vector_set(vectors, k)
+    functional = _checked_functional(vs, k)
     if functional is not None:
         return ExtendsToOrder(functional)
 
-    vs = sorted(set(tuple(v) for v in vectors))
     for total in range(1, _COMBINATION_CAP + 1):
         for combo in itertools.combinations_with_replacement(vs, total):
             if all(sum(col) == 0 for col in zip(*combo)):
                 counts = [(v, combo.count(v)) for v in vs if v in combo]
-                assert all(
-                    sum(v[i] * c for v, c in counts) == 0 for i in range(k)
-                )
+                if any(sum(v[i] * c for v, c in counts) != 0 for i in range(k)):
+                    raise RuntimeError(f"combination {counts} does not vanish")
                 return DoesNotExtend(tuple(counts))
     raise AssertionError("duality violated: no functional and no combination")
 

@@ -158,7 +158,8 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
             out["verdict"] = "valid"
         else:
             out["verdict"] = "invalid"
-            out["witness"] = _sign_witness_json(verdict, oracle.k)
+            # written as JSON by run_decide, the only caller that prints it
+            out["witness"] = verdict
     return out
 
 
@@ -323,7 +324,10 @@ def run_decide(args) -> int:
         },
     }
     if verdict == "invalid":
-        doc["witness"] = results[-1].get("witness")
+        witness = results[-1].get("witness")
+        if isinstance(witness, LgInvalid):
+            witness = _sign_witness_json(witness, oracle.k)
+        doc["witness"] = witness
         doc["join"] = results[-1]["join"]
     else:
         doc["certificate"] = [
@@ -490,9 +494,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     groups_help = f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK}"
 
+    search_read_by = (
+        "; read only by --variety rg, --method derivation and lg over"
+        " klein or zn:K with --method auto, ignored elsewhere"
+    )
+
     def search_options(p):
-        p.add_argument("--max-depth", type=int, default=5)
-        p.add_argument("--universe-cap", type=int, default=32)
+        p.add_argument(
+            "--max-depth", type=int, default=5,
+            help="depth of the derivation search" + search_read_by,
+        )
+        p.add_argument(
+            "--universe-cap", type=int, default=32,
+            help="size cap on the derivation search's factor universe"
+            + search_read_by,
+        )
         p.add_argument(
             "--max-term-nodes", type=int, default=10_000,
             help="reject statements whose syntax tree is larger than this "
@@ -515,7 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
         " with K the highest generator index in the input",
     )
     search_options(p_decide)
-    p_decide.add_argument("--radius", type=int, default=None)
+    p_decide.add_argument(
+        "--radius", type=int, default=None,
+        help="radius of the bounded product closure (default twice the"
+        " longest join word, at least 2); read only by lg over klein or"
+        " zn:K with --method auto, ignored elsewhere",
+    )
     p_decide.add_argument(
         "--budget-ms", type=int, default=None,
         help="checked between join sets and inside the cis and truncated"

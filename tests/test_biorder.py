@@ -1,5 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +19,7 @@ from ellgroups.biorder import (
     decide_valid_rg,
     magnus_expand,
     magnus_sign,
+    positive_functional,
     series_multiply,
 )
 from ellgroups.derivation import (
@@ -235,6 +242,120 @@ class TestAbelian:
                         assert (
                             sum(v[i] * c for v, c in out.combination) == 0
                         )
+
+
+def fraction_positive_functional(vectors, k):
+    # reference: Fourier-Motzkin elimination on Fractions, each bound
+    # solved for its variable; the functional is the least integer
+    # multiple of the rational witness
+    current = [([Fraction(x) for x in v], Fraction(1)) for v in set(vectors)]
+    stages = []
+    for _ in range(k):
+        lowers, uppers, rest = [], [], []
+        for coeffs, const in current:
+            c, tail = coeffs[0], coeffs[1:]
+            if c > 0:
+                lowers.append(([-x / c for x in tail], const / c))
+            elif c < 0:
+                uppers.append(([-x / c for x in tail], const / c))
+            else:
+                rest.append((tail, const))
+        for lo_c, lo_b in lowers:
+            for up_c, up_b in uppers:
+                rest.append(([u - l for l, u in zip(lo_c, up_c)], lo_b - up_b))
+        stages.append((lowers, uppers))
+        current = rest
+    if any(const > 0 for _, const in current):
+        return None
+    phi = []
+    for lowers, uppers in reversed(stages):
+        lo = max(
+            (b + sum(c * p for c, p in zip(cs, phi)) for cs, b in lowers),
+            default=None,
+        )
+        hi = min(
+            (b + sum(c * p for c, p in zip(cs, phi)) for cs, b in uppers),
+            default=None,
+        )
+        if lo is None and hi is None:
+            value = Fraction(0)
+        elif lo is None:
+            value = hi
+        elif hi is None:
+            value = lo
+        else:
+            value = (lo + hi) / 2
+        phi.insert(0, value)
+    scale = lcm(*(f.denominator for f in phi))
+    return tuple(int(f * scale) for f in phi)
+
+
+def random_vector_set(rng, k, count, bound):
+    vectors = []
+    while len(vectors) < count:
+        v = tuple(rng.randint(-bound, bound) for _ in range(k))
+        if any(v):
+            vectors.append(v)
+    return vectors
+
+
+class TestIntegerElimination:
+    def test_small_plane_matches_fractions(self):
+        points = [
+            p for p in itertools.product(range(-3, 4), repeat=2) if p != (0, 0)
+        ]
+        sets = [c for r in (1, 2) for c in itertools.combinations(points, r)]
+        assert len(sets) == 1176
+        for vectors in sets:
+            assert positive_functional(vectors, 2) == fraction_positive_functional(
+                vectors, 2
+            )
+
+    def test_random_sets_match_fractions(self):
+        rng = random.Random(14)
+        for k in range(1, 6):
+            for _ in range(150):
+                vectors = random_vector_set(rng, k, rng.randint(1, 6), 4)
+                assert positive_functional(
+                    vectors, k
+                ) == fraction_positive_functional(vectors, k)
+
+    def test_large_entries_match_fractions(self):
+        # entries near 10^6 make the combined rows share large factors
+        rng = random.Random(6)
+        for k in (2, 3):
+            for _ in range(40):
+                vectors = [
+                    tuple(x * 10**6 + rng.randint(-3, 3) for x in v)
+                    for v in random_vector_set(rng, k, rng.randint(2, 4), 2)
+                ]
+                assert positive_functional(
+                    vectors, k
+                ) == fraction_positive_functional(vectors, k)
+
+    def test_bad_functional_raises_under_optimize(self):
+        # the re-check by substitution is an explicit test, kept by -O
+        code = (
+            "import ellgroups.biorder as b\n"
+            "b._fourier_motzkin = lambda rows, k: (1, -1)\n"
+            "b.positive_functional([(1, 0), (1, 1)], 2)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "RuntimeError: functional (1, -1) is not positive on (1, 1)" in (
+            proc.stderr
+        )
 
 
 class TestKleinCertificate:
