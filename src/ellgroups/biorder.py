@@ -23,6 +23,7 @@ force.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Union
@@ -122,11 +123,13 @@ class RgBudgets:
     search_depth: int = 4
     universe_cap: int = 32
     max_orders: Optional[int] = None  # cap on (signs, precedence) pairs; None = all
-    degree_growth: int = 4  # cap multiplier for the truncation degree
+
+
+_DEGREE_GROWTH = 4  # cap multiplier for the truncation degree
 
 
 def _uniform_sign_order(
-    join: frozenset[Word], k: int, budgets: RgBudgets
+    join: frozenset[Word], k: int, budgets: RgBudgets, deadline: Optional[float]
 ) -> tuple[Optional[tuple[MagnusOrder, int]], int]:
     base_degree = max(1, max(len(w) for w in join))
     tried = 0
@@ -140,7 +143,7 @@ def _uniform_sign_order(
             d = base_degree
             series = magnus_expand(w, d, eps)
             series.pop((), None)
-            while not series and d < base_degree * budgets.degree_growth:
+            while not series and d < base_degree * _DEGREE_GROWTH:
                 d *= 2
                 series = magnus_expand(w, d, eps)
                 series.pop((), None)
@@ -148,6 +151,8 @@ def _uniform_sign_order(
         for perm in itertools.permutations(range(1, k + 1)):
             if budgets.max_orders is not None and tried >= budgets.max_orders:
                 return None, tried
+            if deadline is not None and time.monotonic() > deadline:
+                raise derivation.PastDeadline
             tried += 1
             order = MagnusOrder(eps, perm)
             signs = []
@@ -165,14 +170,18 @@ def _uniform_sign_order(
 
 
 def decide_valid_rg(
-    join: Iterable[Word], k: int, budgets: RgBudgets = RgBudgets()
+    join: Iterable[Word],
+    k: int,
+    budgets: RgBudgets = RgBudgets(),
+    deadline: Optional[float] = None,
 ) -> Union[Valid, Invalid, Unknown]:
     """Semidecide e <= join in all o-groups over F(k).
 
     A uniform strict Magnus sign across the join set exhibits an order
     (or its dual) whose positive cone contains the set, refuting the
     inequation; a bi-order derivation tree certifies it. Budgets
-    exhausted on both sides yield Unknown.
+    exhausted on both sides yield Unknown, as does a ``deadline`` (a
+    ``time.monotonic()`` instant) passed in the order loop or the search.
     """
     join = frozenset(join)
     if not join:
@@ -180,7 +189,10 @@ def decide_valid_rg(
     if IDENTITY in join:
         return Valid(leaf(join, IDENTITY), "identity")
 
-    witness, orders_tried = _uniform_sign_order(join, k, budgets)
+    try:
+        witness, orders_tried = _uniform_sign_order(join, k, budgets, deadline)
+    except derivation.PastDeadline:
+        return Unknown(budgets={"deadline": deadline})
     if witness is not None:
         order, sign = witness
         return Invalid(
@@ -199,7 +211,10 @@ def decide_valid_rg(
             FreeGroupOracle(k),
             max_depth=budgets.search_depth,
             universe_cap=budgets.universe_cap,
+            deadline=deadline,
         )
+        if isinstance(tree, Unknown):
+            return tree
         if tree is not None:
             return Valid(tree, "derivation-search")
 
@@ -208,7 +223,7 @@ def decide_valid_rg(
             "search_depth": budgets.search_depth,
             "universe_cap": budgets.universe_cap,
             "orders_tried": orders_tried,
-            "degree_growth": budgets.degree_growth,
+            "degree_growth": _DEGREE_GROWTH,
         }
     )
 

@@ -71,13 +71,11 @@ def _rational_json(q: Fraction):
 
 
 def _sign_witness_json(verdict: LgInvalid, k: int) -> dict:
-    autos = rightorder.counterexample_automorphisms(
-        verdict.system.base, verdict.order, k
-    )
+    autos = rightorder.counterexample_automorphisms(verdict.join, verdict.order, k)
     return {
         "classes": [
-            {"rep": render_word(cls.rep), "sign": sign}
-            for cls, sign in zip(verdict.system.classes, verdict.signs)
+            {"rep": render_word(Word(rep)), "sign": sign}
+            for rep, sign in zip(verdict.reps, verdict.signs)
         ],
         "order": [render_word(w) for w in verdict.order],
         "automorphisms": [
@@ -97,6 +95,11 @@ def _truncated_json(order: rightorder.TruncatedRightOrder) -> dict:
     return {"l": order.l, "positives": _word_list(order.positives)}
 
 
+def _past_deadline(verdict) -> bool:
+    # a decider's Unknown for a spent deadline, not for its own budgets
+    return isinstance(verdict, derivation.Unknown) and "deadline" in verdict.budgets
+
+
 def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
     """The entry of one join set, decided for args.variety over the oracle
     by args.method; None when the deadline passes before it is decided."""
@@ -107,7 +110,9 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
         budgets = biorder.RgBudgets(
             search_depth=args.max_depth, universe_cap=args.universe_cap
         )
-        verdict = biorder.decide_valid_rg(join, oracle.k, budgets)
+        verdict = biorder.decide_valid_rg(join, oracle.k, budgets, deadline)
+        if _past_deadline(verdict):
+            return None
         out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER))
     elif args.variety == "abelian":
         out.update(_abelian_json(join, oracle))
@@ -118,7 +123,10 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
             oracle,
             max_depth=args.max_depth,
             universe_cap=args.universe_cap,
+            deadline=deadline,
         )
+        if _past_deadline(tree):
+            return None
         if tree is None:
             out["verdict"] = "unknown"
             out["budgets"] = {
@@ -137,11 +145,14 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
             radius=args.radius,
             depth=args.max_depth,
             universe_cap=args.universe_cap,
+            deadline=deadline,
         )
+        if _past_deadline(verdict):
+            return None
         out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.RIGHT_ORDER))
     elif args.method == "truncated":
         witness = rightorder.clay_smith(join, oracle.k, deadline)
-        if isinstance(witness, derivation.Unknown):
+        if _past_deadline(witness):
             return None
         if witness is None:
             out["verdict"] = "valid"
@@ -150,7 +161,7 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
             out["witness"] = _truncated_json(witness)
     else:  # cis, also for auto
         verdict = rightorder.decide_valid_lg(join, deadline)
-        if isinstance(verdict, derivation.Unknown):
+        if _past_deadline(verdict):
             return None
         out["assignments"] = verdict.assignments_checked
         out["nodes"] = verdict.nodes_explored
@@ -181,25 +192,25 @@ def _verdict_json(verdict, oracle, system: derivation.RuleSystem) -> dict:
     return {"verdict": "unknown", "budgets": dict(verdict.budgets)}
 
 
+def _abelian_witness(outcome) -> dict:
+    """An abelian decider's functional or vanishing combination as JSON."""
+    if isinstance(outcome, biorder.ExtendsToOrder):
+        return {"functional": list(outcome.functional)}
+    return {
+        "combination": [{"vector": list(v), "count": c} for v, c in outcome.combination]
+    }
+
+
 def _abelian_json(join, oracle) -> dict:
     points = frozenset(oracle.canonicalize(w) for w in join)
     if oracle.identity in points:
         return {"verdict": "valid", "method": "identity"}
     outcome = biorder.decide_abelian_order_extension(points, oracle.k)
-    if isinstance(outcome, biorder.DoesNotExtend):
-        return {
-            "verdict": "valid",
-            "method": "abelian-duality",
-            "certificate": {
-                "combination": [
-                    {"vector": list(v), "count": c} for v, c in outcome.combination
-                ]
-            },
-        }
+    extends = isinstance(outcome, biorder.ExtendsToOrder)
     return {
-        "verdict": "invalid",
+        "verdict": "invalid" if extends else "valid",
         "method": "abelian-duality",
-        "witness": {"functional": list(outcome.functional)},
+        "witness" if extends else "certificate": _abelian_witness(outcome),
     }
 
 
@@ -376,17 +387,9 @@ def run_extend_right(args) -> int:
             doc["verdict"] = "not-extendable"
         else:
             outcome = biorder.decide_abelian_order_extension(points, oracle.k)
-            if isinstance(outcome, biorder.ExtendsToOrder):
-                doc["verdict"] = "extendable"
-                doc["witness"] = {"functional": list(outcome.functional)}
-            else:
-                doc["verdict"] = "not-extendable"
-                doc["witness"] = {
-                    "combination": [
-                        {"vector": list(v), "count": c}
-                        for v, c in outcome.combination
-                    ]
-                }
+            extends = isinstance(outcome, biorder.ExtendsToOrder)
+            doc["verdict"] = "extendable" if extends else "not-extendable"
+            doc["witness"] = _abelian_witness(outcome)
     doc["stats"] = {"millis": int((time.monotonic() - started) * 1000)}
     _emit(doc)
     return EXIT_OK
@@ -539,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_decide.add_argument(
         "--budget-ms", type=int, default=None,
-        help="checked between join sets and inside the cis and truncated"
-        " searches",
+        help="checked between join sets and in the cis, truncated,"
+        " derivation and rg searches; not in the presented-group closure",
     )
     p_decide.add_argument("--strict", action="store_true")
     p_decide.set_defaults(func=run_decide)

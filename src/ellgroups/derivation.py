@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import time
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 from .words import Word, close_letters, reduced_word
 from . import terms
@@ -284,6 +285,11 @@ def factor_universe(
     return ordered[:cap]
 
 
+class PastDeadline(Exception):
+    """Raised inside a search whose deadline has passed; the search
+    returns Unknown in its place."""
+
+
 def search(
     start: Iterable[Element],
     system: RuleSystem,
@@ -292,7 +298,8 @@ def search(
     max_depth: int = 5,
     universe_cap: int = 32,
     closure_radius: Optional[int] = None,
-) -> Optional[DerivationTree]:
+    deadline: Optional[float] = None,
+) -> Union[DerivationTree, None, Unknown]:
     """Iterative-deepening backward search for a derivation tree.
 
     Leaf tests come first, then a bounded product closure looking for an
@@ -302,6 +309,10 @@ def search(
     fixed expansion order. Depth counts nested product/exchange steps.
     Failure is honest: the factor universe is a heuristic restriction,
     so None never means the set is provably outside the family.
+
+    With a ``deadline`` (a ``time.monotonic()`` instant), each subgoal
+    checks the clock first, and a search still running past it returns
+    ``Unknown`` naming the deadline.
     """
     start = frozenset(start)
     if not start:
@@ -348,6 +359,8 @@ def search(
                 yield a, b
 
     def prove(conclusion: frozenset, depth: int) -> Optional[DerivationTree]:
+        if deadline is not None and time.monotonic() > deadline:
+            raise PastDeadline
         if conclusion in success:
             return success[conclusion]
         tree = immediate(conclusion)
@@ -387,7 +400,10 @@ def search(
         return None
 
     for depth in range(max_depth + 1):
-        tree = prove(start, depth)
+        try:
+            tree = prove(start, depth)
+        except PastDeadline:
+            return Unknown(budgets={"deadline": deadline})
         if tree is not None:
             check(tree, system, oracle)
             return tree

@@ -285,6 +285,7 @@ def decide_presented_lg(
     radius: Optional[int] = None,
     depth: int = 4,
     universe_cap: int = 32,
+    deadline: Optional[float] = None,
 ):
     """Decide e <= join in lattice-ordered groups satisfying the relations
     of the Klein bottle group or of Z^k; ValueError for any other oracle.
@@ -297,6 +298,8 @@ def decide_presented_lg(
     of the canonical join images, then derivation search. Without one,
     the Klein bottle join is valid (no right order holds it), and a Z^k
     join yields a vanishing combination by exact linear duality.
+    A ``deadline`` binds in the derivation search, which returns its
+    ``Unknown``, and not in the closure.
     """
     if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
         raise ValueError("the presented-group decider takes klein or zn:K")
@@ -322,7 +325,10 @@ def decide_presented_lg(
             oracle,
             max_depth=depth,
             universe_cap=universe_cap,
+            deadline=deadline,
         )
+        if isinstance(certificate, derivation.Unknown):
+            return certificate
         method = "derivation-search"
     if certificate is not None:
         return Valid(certificate, method)

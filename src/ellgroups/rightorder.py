@@ -24,9 +24,9 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .derivation import Unknown
+from .derivation import PastDeadline, Unknown
 from .words import (
     IDENTITY,
     DifferenceClass,
@@ -92,53 +92,21 @@ class LgValid:
     nodes_explored: int = 0
 
 
+@dataclass(frozen=True)
 class LgInvalid:
     """An acyclic sign assignment, the witness that e <= join fails.
 
-    ``signs`` is aligned with ``system.classes`` and ``order`` lists the
-    nodes in ascending witness order. ``system`` may be given as a
-    function of no arguments that builds it; it is then built on first
-    read and kept. ``repr``, ``==`` and ``hash`` are those of a frozen
-    dataclass with the five fields below, so they read the system.
+    ``reps`` holds the letter tuples of the class representatives in
+    class order, and ``signs`` is aligned with them; ``order`` lists the
+    initial subterms of ``join`` in ascending witness order.
     """
 
-    _FIELDS = ("system", "signs", "order", "assignments_checked", "nodes_explored")
-    __slots__ = ("_system", "signs", "order", "assignments_checked", "nodes_explored")
-
-    def __init__(
-        self,
-        system: Union[DifferenceSystem, Callable[[], DifferenceSystem]],
-        signs: tuple[int, ...],
-        order: tuple[Word, ...],
-        assignments_checked: int = 0,
-        nodes_explored: int = 0,
-    ) -> None:
-        self._system = system
-        self.signs = signs
-        self.order = order
-        self.assignments_checked = assignments_checked
-        self.nodes_explored = nodes_explored
-
-    @property
-    def system(self) -> DifferenceSystem:
-        if not isinstance(self._system, DifferenceSystem):
-            self._system = self._system()
-        return self._system
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
-        return f"LgInvalid({fields})"
+    join: frozenset[Word]
+    reps: tuple[tuple[int, ...], ...]
+    signs: tuple[int, ...]
+    order: tuple[Word, ...]
+    assignments_checked: int = 0
+    nodes_explored: int = 0
 
 
 def _inverse_letters(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -211,10 +179,6 @@ def consistent(
     raise AssertionError("tournament with repeated scores but no 3-cycle")
 
 
-class _PastDeadline(Exception):
-    pass
-
-
 def _column(n: int) -> int:
     # bit 0 of every row of an n*n-bit matrix
     return sum(1 << (w * n) for w in range(n))
@@ -267,8 +231,9 @@ def decide_valid_lg(
     -1 order already settles, which it then passes without a test. It
     counts the states it reaches; the counts of the plain recursion, which
     tries +1 and then -1 at every state, follow from that number and the
-    leaf's signs. An ``LgInvalid`` keeps the table and builds its
-    Word-level ``DifferenceSystem`` when it is first read.
+    leaf's signs. An ``LgInvalid`` carries the join, the table's class
+    representatives as letter tuples and the signs, and builds only the
+    Words of its order; no Word-level ``DifferenceSystem`` is built.
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each state where
     both signs survive first checks the clock, and a search still running
@@ -280,8 +245,7 @@ def decide_valid_lg(
     letters = frozenset(w.letters for w in join)
     if _has_inverse_pair(letters):
         return LgValid(assignments_checked=0)
-    table = difference_table(letters)
-    nodes, reps, edges = table
+    nodes, reps, edges = difference_table(letters)
     n = len(nodes)
     forced_signs = _forced_signs(letters, reps)
     forced = [(i, s) for i, s in enumerate(forced_signs) if s is not None]
@@ -339,7 +303,7 @@ def decide_valid_lg(
                     closure = plus
                 else:
                     if deadline is not None and time.monotonic() > deadline:
-                        raise _PastDeadline
+                        raise PastDeadline
                     before = states
                     leaf = search(level + 1, plus, levels[i:])
                     if leaf is not None:
@@ -364,7 +328,7 @@ def decide_valid_lg(
 
     try:
         leaf = search(0, base, list(range(m)))
-    except _PastDeadline:
+    except PastDeadline:
         return Unknown(budgets={"deadline": deadline})
     if leaf is None:
         # every state tried both signs; all 2**m assignments are covered
@@ -385,20 +349,13 @@ def decide_valid_lg(
     row = (1 << n) - 1
     order = sorted(range(n), key=lambda i: -bin((leaf >> (i * n)) & row).count("1"))
     return LgInvalid(
-        system=functools.partial(_table_system, join, table, forced_signs),
+        join=join,
+        reps=tuple(reps),
         signs=tuple(signs),
         order=tuple(reduced_word(nodes[i]) for i in order),
         assignments_checked=checked,
         nodes_explored=len(forced) + 2 * states - pluses,
     )
-
-
-def _table_system(
-    join: frozenset[Word], table: tuple, forced: Sequence[Optional[int]]
-) -> DifferenceSystem:
-    # the system of a join decide_valid_lg searched: not immediately
-    # cyclic, since such a join is valid before any table is built
-    return DifferenceSystem(join, *table_classes(table, forced), False)
 
 
 def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid]:
@@ -419,7 +376,8 @@ def decide_valid_lg_bruteforce(join: Iterable[Word]) -> Union[LgValid, LgInvalid
         verdict = consistent(sys, signs)
         if isinstance(verdict, Acyclic):
             return LgInvalid(
-                system=sys,
+                join=join,
+                reps=tuple(cls.rep.letters for cls in sys.classes),
                 signs=tuple(signs),
                 order=verdict.order,
                 assignments_checked=checked,

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -186,6 +187,19 @@ class TestDecideValidRg:
         verdict = decide_valid_rg({W("x"), W("y*x^-1*y^-1")}, 2, budgets)
         assert isinstance(verdict, Unknown)
         assert verdict.budgets["orders_tried"] == 0
+
+    def test_past_deadline_gives_unknown(self):
+        deadline = time.monotonic() - 1
+        expected = Unknown(budgets={"deadline": deadline})
+        # in the order loop, before the first order, which refutes {x, y}
+        assert decide_valid_rg({W("x"), W("y")}, 2, RgBudgets(), deadline) == expected
+        # in the search, with no order to try
+        join = {W("x"), W("y*x^-1*y^-1")}
+        assert decide_valid_rg(join, 2, RgBudgets(max_orders=0), deadline) == expected
+        far = time.monotonic() + 3600
+        assert decide_valid_rg(join, 2, RgBudgets(), far) == decide_valid_rg(join, 2)
+        spent = decide_valid_rg(join, 2, RgBudgets(search_depth=0, max_orders=0))
+        assert spent.budgets["degree_growth"] == 4
 
     def test_refines_lg_on_sample(self):
         elems = sorted(w for w in ball(2, 2) if w != IDENTITY)

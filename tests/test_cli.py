@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,20 @@ class TestRefusedInput:
         assert doc["verdict"] == "unknown"
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 100}]
         assert doc["stats"]["millis"] < 3000
+
+    def test_budget_binds_inside_the_derivation_search(self):
+        started = time.monotonic()
+        proc = run_limited(
+            "decide", "--method", "derivation", "--max-depth", "4",
+            "--universe-cap", "100", "--budget-ms", "500",
+            r"e <= x*y \/ y*x^-1 \/ x^-1*y^-1*x", seconds=30,
+        )
+        elapsed = time.monotonic() - started
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 500}]
+        assert elapsed < 2
 
     @pytest.mark.parametrize("depth", [100, 200, 3000])
     def test_nesting_depth(self, depth):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ellgroups.derivation import (
     CertificateError,
     RuleSystem,
+    Unknown,
     bounded_closure_with_parents,
     check,
     closure_leaf,
@@ -189,6 +191,27 @@ class TestSearch:
         t1 = search(S, RuleSystem.RIGHT_ORDER, F2)
         t2 = search(S, RuleSystem.RIGHT_ORDER, F2)
         assert t1 == t2
+
+    def test_search_stops_past_deadline(self):
+        # a set whose depth-4 search over 100 factors runs for seconds
+        S = {W("x*y"), W("y*x^-1"), W("x^-1*y^-1*x")}
+        deadline = time.monotonic() + 0.2
+        tree = search(
+            S, RuleSystem.RIGHT_ORDER, F2, max_depth=4, universe_cap=100,
+            deadline=deadline,
+        )
+        assert tree == Unknown(budgets={"deadline": deadline})
+        assert time.monotonic() < deadline + 5
+
+    def test_deadline_leaves_results_unchanged(self):
+        far = time.monotonic() + 3600
+        elems = sorted(w for w in ball(2, 1) if w != IDENTITY)
+        family = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(elems, r)]
+        family.append(frozenset({W("x*x"), W("y*y"), W("x^-1*y^-1")}))
+        for S in family:
+            for system in RuleSystem:
+                expected = search(S, system, F2, max_depth=3)
+                assert search(S, system, F2, max_depth=3, deadline=far) == expected
 
     def test_search_successes_roundtrip_through_checker(self):
         import itertools

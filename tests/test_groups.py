@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from ellgroups import derivation, groups
 from ellgroups.derivation import (
     Invalid,
     RuleSystem,
+    Unknown,
     Valid,
     bounded_closure_with_parents,
     check,
@@ -188,6 +190,16 @@ class TestDecidePresented:
         join = {KLEIN.to_word(KleinElement(2, -1)), KLEIN.to_word(KleinElement(-2, -2))}
         verdict = decide_presented_lg(join, KLEIN, radius=2, depth=0)
         assert verdict == Valid(None, "klein-orders", {"cones_checked": 4})
+
+    def test_deadline_reaches_the_search(self, monkeypatch):
+        # with the closure certificate ruled out, the derivation search
+        # decides the join
+        monkeypatch.setattr(groups, "_closure_certificate", lambda *args: None)
+        join = {W("y"), W("x*y*x^-1")}
+        assert decide_presented_lg(join, KLEIN).method == "derivation-search"
+        deadline = time.monotonic() - 1
+        verdict = decide_presented_lg(join, KLEIN, deadline=deadline)
+        assert verdict == Unknown(budgets={"deadline": deadline})
 
     def test_other_oracles_refused(self):
         # free groups go to the complete free-group deciders instead

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import time
 from dataclasses import replace
@@ -29,9 +30,11 @@ from ellgroups.rightorder import (
     find_bifurcation,
     product_closure_in_ball,
 )
-from ellgroups import rightorder
+from ellgroups import cli, rightorder
+from ellgroups import words as words_module
 from ellgroups.words import (
     IDENTITY,
+    Word,
     ball,
     difference_classes,
     initial_subterms,
@@ -483,51 +486,59 @@ class TestSignKernel:
             assert build_difference_system(S) == expected, sorted(map(str, S))
             verdict = decide_valid_lg(S)
             if isinstance(verdict, LgInvalid):
-                assert verdict.system == expected, sorted(map(str, S))
+                assert verdict.reps == tuple(c.rep.letters for c in expected.classes)
+                assert verdict.join == expected.base
+                for cls, sign in zip(expected.classes, verdict.signs):
+                    assert cls.forced_sign in (None, sign), sorted(map(str, S))
 
     def test_verdicts_pinned(self):
-        # sha256 over repr of every verdict, recorded from the Word-level
-        # difference system the indexed table replaced
-        family = small_family() + random_joins(2024, 300)
-        text = "\n".join(repr(decide_valid_lg(S)) for S in family)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "bfb27acea7f6bfb4efae13d86edd63e3665f55a499c263f91a29c0f888c1bce2"
+        # sha256 over every verdict's fields, the representatives and words
+        # rendered, recorded from the Word-level difference system the
+        # indexed table replaced
+        lines = []
+        for S in small_family() + random_joins(2024, 300):
+            v = decide_valid_lg(S)
+            if isinstance(v, LgValid):
+                lines.append(repr(("valid", v.assignments_checked, v.nodes_explored)))
+            else:
+                reps = tuple(render_word(Word(r)) for r in v.reps)
+                order = tuple(render_word(w) for w in v.order)
+                fields = (v.signs, reps, order, v.assignments_checked, v.nodes_explored)
+                lines.append(repr(("invalid", *fields)))
+        assert len(lines) == 996
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b953c80743387f2aa8e75e1c526151183b6543e9e8cd0c155b0c92fefc54d1ba"
         )
 
 
 class TestLazySystem:
-    """An LgInvalid builds its Word-level system on first read."""
+    """A verdict carries the table's representatives; no Word-level
+    difference system is built, by the search or by the CLI."""
 
-    def test_search_builds_no_classes(self, monkeypatch):
+    STATEMENTS = (
+        r"e <= x*x \/ x*y",
+        r"e <= x*y \/ y*x^-1 \/ x^-1*y^-1*x",
+        r"e <= x*y*x^-1 \/ y*y*x \/ x^-1*y",
+    )
+
+    def test_search_builds_no_classes(self, monkeypatch, capsys):
         def no_classes(*args):
             raise AssertionError("difference classes built")
 
         family = small_family(2) + random_joins(7, 40)
         with monkeypatch.context() as m:
-            m.setattr(rightorder, "table_classes", no_classes)
+            for module in (words_module, rightorder):
+                m.setattr(module, "table_classes", no_classes)
+                m.setattr(module, "build_difference_system", no_classes, raising=False)
             verdicts = [(S, decide_valid_lg(S)) for S in family]
+            for statement in self.STATEMENTS:
+                assert cli.main(["decide", statement]) == 0
+                assert json.loads(capsys.readouterr().out)["verdict"] == "invalid"
         invalid = [(S, v) for S, v in verdicts if isinstance(v, LgInvalid)]
         assert len(invalid) > 20
         for S, verdict in invalid:
             again = decide_valid_lg(S)
-            assert verdict.system == build_difference_system(S)
-            assert verdict.system is verdict.system
             assert again == verdict and hash(again) == hash(verdict)
-            assert repr(again) == repr(verdict)
-
-    def test_given_system_is_kept(self):
-        S = words("x*x, x*y")
-        lazy = decide_valid_lg(S)
-        eager = LgInvalid(
-            build_difference_system(S),
-            lazy.signs,
-            lazy.order,
-            lazy.assignments_checked,
-            lazy.nodes_explored,
-        )
-        assert eager == lazy and hash(eager) == hash(lazy)
-        assert repr(eager) == repr(lazy)
-        assert LgInvalid(lazy.system, (-1,) * len(lazy.signs), lazy.order) != lazy
 
 
 class TestDeadline:

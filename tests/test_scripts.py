@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +30,29 @@ def test_scripts_run():
     proc = run_script("cross_validate.py", "--sample", "300", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert "mismatches: 0" in proc.stdout.splitlines()
+
+
+def test_traced_benchmark_installs_every_span(tmp_path):
+    # run.py imports the program from the src/ beside perfbench/ and writes
+    # its span file under perfbench/out/, so it runs on a copy of both
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=skip)
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cli-mixed",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["correct"] is True and doc["failed"] == 0
+    spec = importlib.util.spec_from_file_location(
+        "spans", tmp_path / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [n + "_ms" for n in spans.TIME_METRICS] + list(spans.COUNT_METRICS)
+    assert set(names) <= set(doc["metrics"])
