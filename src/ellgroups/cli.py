@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument(
         "--budget-ms", type=int, default=None,
         help="checked between join sets and in the cis, truncated,"
-        " derivation and rg searches; not in the presented-group closure",
+        " derivation and rg searches and the presented-group closure",
     )
     p_decide.add_argument("--strict", action="store_true")
     p_decide.set_defaults(func=run_decide)

@@ -16,12 +16,12 @@ T = conclusion.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import time
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .words import Word, close_letters, reduced_word
+from .words import Word, letters_key, reduced_word, round_products
 from . import terms
 
 Element = Hashable
@@ -90,6 +90,11 @@ class Invalid:
 @dataclass(frozen=True)
 class Unknown:
     budgets: Mapping
+
+
+class PastDeadline(Exception):
+    """Raised inside a search or closure whose deadline has passed; the
+    decider returns Unknown in its place."""
 
 
 class CertificateError(ValueError):
@@ -185,6 +190,20 @@ def element_sort_key(oracle, g: Element) -> tuple:
     return (oracle.length(g), oracle.to_word(g).key)
 
 
+def _oracle_products(multiply, length, lefts, rights, radius, current, new) -> None:
+    # words.round_products on the oracle's arithmetic
+    for a in lefts:
+        for b in rights:
+            c = multiply(a, b)
+            if c not in current and length(c) <= radius:
+                current.add(c)
+                new[c] = (a, b)
+
+
+# left factors between two reads of the clock in a closure with a deadline
+_CLOCK_BLOCK = 64
+
+
 def bounded_closure_with_parents(
     elements: Iterable[Element],
     radius: int,
@@ -192,61 +211,64 @@ def bounded_closure_with_parents(
     *,
     stop_at_identity: bool = False,
     size_cap: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> tuple[frozenset, dict]:
     """Close under products staying within the radius ball, recording for
     every added element one decomposition into earlier elements.
 
-    Frontier rounds: each round only multiplies pairs touching elements
-    added in the previous round. With ``stop_at_identity`` the fixpoint
-    stops as soon as the identity appears; ``size_cap`` truncates runaway
-    closures (the result is then a deterministic under-approximation).
-    Over a free group the closure runs on letter tuples
-    (``words.close_letters``), and Words are built once at the end; over
-    other groups each element's sort key is computed once.
+    Frontier rounds, in ascending word order: a round multiplies every
+    older element by every fresh one (new in the last round), then every
+    fresh element by every older one that is not fresh. Elements longer
+    than the radius are kept. Before each round the closure stops once the
+    identity is in it, with ``stop_at_identity``, or once it holds
+    ``size_cap`` elements (a deterministic under-approximation). The one
+    closure loop for every group: over a free group it runs on letter
+    tuples (``words.round_products``), building Words at the end. With a
+    ``deadline`` (a ``time.monotonic()`` instant), it reads the clock
+    between blocks of left factors and raises ``PastDeadline`` past it.
     """
     from .groups import FreeGroupOracle
 
-    if isinstance(oracle, FreeGroupOracle):
-        closed, pairs = close_letters(
-            (g.letters for g in elements),
-            radius,
-            stop_at_identity=stop_at_identity,
-            size_cap=size_cap,
-        )
-        word = {t: reduced_word(t) for t in closed}
-        parents = {word[c]: (word[a], word[b]) for c, (a, b) in pairs.items()}
-        return frozenset(word.values()), parents
-
-    keys = {g: element_sort_key(oracle, g) for g in elements}
-    key = keys.__getitem__
-    multiply, length = oracle.multiply, oracle.length
+    free = isinstance(oracle, FreeGroupOracle)
+    if free:
+        elements = (g.letters for g in elements)
+        identity, key, products = (), letters_key, round_products
+    else:
+        identity, key = oracle.identity, functools.partial(element_sort_key, oracle)
+        products = functools.partial(_oracle_products, oracle.multiply, oracle.length)
+    keys = {g: key(g) for g in elements}
     current = set(keys)
-    parents = {}
-    older = sorted(current, key=key)
+    parents: dict = {}
+    older = sorted(current, key=keys.__getitem__)
     fresh = older
     while fresh:
-        if stop_at_identity and oracle.identity in current:
+        if stop_at_identity and identity in current:
             break
         if size_cap is not None and len(current) >= size_cap:
             break
+        # products with e add nothing
+        lefts = [a for a in older if a != identity]
+        rights = [b for b in fresh if b != identity]
         fresh_set = set(fresh)
         new: dict = {}
-        pairs = itertools.chain(
-            itertools.product(older, fresh),
-            ((a, b) for a in fresh for b in older if b not in fresh_set),
-        )
-        for a, b in pairs:
-            c = multiply(a, b)
-            if length(c) <= radius and c not in current and c not in new:
-                new[c] = (a, b)
+        rest = [b for b in lefts if b not in fresh_set]
+        for outer, inner in ((lefts, rights), (rights, rest)):
+            step = _CLOCK_BLOCK if deadline is not None else len(outer) or 1
+            for i in range(0, len(outer), step):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise PastDeadline
+                products(outer[i : i + step], inner, radius, current, new)
         parents.update(new)
-        current.update(new)
         for c in new:
-            keys[c] = element_sort_key(oracle, c)
-        fresh = sorted(new, key=key)
+            keys[c] = key(c)
+        fresh = sorted(new, key=keys.__getitem__)
         # two sorted runs: the sort merges them
-        older = sorted(older + fresh, key=key)
-    return frozenset(current), parents
+        older = sorted(older + fresh, key=keys.__getitem__)
+    if not free:
+        return frozenset(current), parents
+    word = {t: reduced_word(t) for t in current}
+    parents = {word[c]: (word[a], word[b]) for c, (a, b) in parents.items()}
+    return frozenset(word.values()), parents
 
 
 def product_witness(target: Element, base: frozenset, parents: dict) -> list:
@@ -285,11 +307,6 @@ def factor_universe(
     return ordered[:cap]
 
 
-class PastDeadline(Exception):
-    """Raised inside a search whose deadline has passed; the search
-    returns Unknown in its place."""
-
-
 def search(
     start: Iterable[Element],
     system: RuleSystem,
@@ -297,7 +314,6 @@ def search(
     *,
     max_depth: int = 5,
     universe_cap: int = 32,
-    closure_radius: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> Union[DerivationTree, None, Unknown]:
     """Iterative-deepening backward search for a derivation tree.
@@ -311,8 +327,9 @@ def search(
     so None never means the set is provably outside the family.
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each subgoal
-    checks the clock first, and a search still running past it returns
-    ``Unknown`` naming the deadline.
+    checks the clock first and passes the deadline to its product closure,
+    and a search still running past it returns ``Unknown`` naming the
+    deadline.
     """
     start = frozenset(start)
     if not start:
@@ -335,15 +352,13 @@ def search(
                 return leaf(conclusion, a)
         if conclusion in immediate_memo:
             return immediate_memo[conclusion]
-        radius = closure_radius or (
-            2 + max(oracle.length(g) for g in conclusion)
-        )
         closed, parents = bounded_closure_with_parents(
             conclusion,
-            radius,
+            2 + max(oracle.length(g) for g in conclusion),
             oracle,
             stop_at_identity=True,
             size_cap=_CLOSURE_SIZE_CAP,
+            deadline=deadline,
         )
         tree = None
         if oracle.identity in closed:

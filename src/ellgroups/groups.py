@@ -237,11 +237,11 @@ def klein_right_order_sign(g: KleinElement, variant: int) -> int:
 
 
 def _closure_certificate(
-    canonical: frozenset, radius: int, oracle
+    canonical: frozenset, radius: int, oracle, deadline: Optional[float] = None
 ) -> Optional[DerivationTree]:
     # the identity's parents are fixed in the round it enters
     closed, parents = bounded_closure_with_parents(
-        canonical, radius, oracle, stop_at_identity=True
+        canonical, radius, oracle, stop_at_identity=True, deadline=deadline
     )
     if oracle.identity not in closed:
         return None
@@ -298,8 +298,8 @@ def decide_presented_lg(
     of the canonical join images, then derivation search. Without one,
     the Klein bottle join is valid (no right order holds it), and a Z^k
     join yields a vanishing combination by exact linear duality.
-    A ``deadline`` binds in the derivation search, which returns its
-    ``Unknown``, and not in the closure.
+    A ``deadline`` binds in the closure and in the derivation search;
+    past it the verdict is ``Unknown`` naming the deadline.
     """
     if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
         raise ValueError("the presented-group decider takes klein or zn:K")
@@ -316,7 +316,10 @@ def decide_presented_lg(
     if refutation is not None:
         return refutation
 
-    certificate = _closure_certificate(canonical, radius, oracle)
+    try:
+        certificate = _closure_certificate(canonical, radius, oracle, deadline)
+    except derivation.PastDeadline:
+        return derivation.Unknown(budgets={"deadline": deadline})
     method = "closure"
     if certificate is None:
         certificate = derivation.search(

@@ -20,22 +20,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .derivation import PastDeadline, Unknown
+from .derivation import PastDeadline, Unknown, bounded_closure_with_parents
+from .groups import FreeGroupOracle
 from .words import (
     IDENTITY,
     DifferenceClass,
     Word,
     ball,
     ball_letters,
-    close_letters,
     difference_table,
     initial_subterms,
+    inverse_letters,
     reduced_word,
     table_classes,
 )
@@ -109,15 +109,11 @@ class LgInvalid:
     nodes_explored: int = 0
 
 
-def _inverse_letters(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-l for l in reversed(t))
-
-
 def _has_inverse_pair(join: frozenset[tuple[int, ...]]) -> bool:
     # some w and w^-1 both in the join (w = e included): the quotient of
     # the prefix pair (w, e) is then forced both ways, so every sign
     # assignment is cyclic; O(|join|), before the O(n^2) class table
-    return any(_inverse_letters(w) in join for w in join)
+    return any(inverse_letters(w) in join for w in join)
 
 
 def _forced_signs(
@@ -125,7 +121,7 @@ def _forced_signs(
 ) -> list[Optional[int]]:
     # per class, +1 when its representative lies in the base (given as
     # letter tuples), else -1 when its inverse does
-    inverses = frozenset(map(_inverse_letters, base))
+    inverses = frozenset(map(inverse_letters, base))
     return [1 if r in base else -1 if r in inverses else None for r in reps]
 
 
@@ -394,80 +390,60 @@ class TruncatedRightOrder:
     positives: frozenset[Word]
 
 
-class _BallIndex:
-    """The l-ball of F(k) numbered in ascending word order, e first.
-
-    Cones over the ball are sets of these numbers; products are taken on
-    the letter tuples, so no Word is built while a cone is closed.
-    """
-
-    def __init__(self, k: int, l: int) -> None:
-        self.l = l
-        self.letters = tuple(ball_letters(k, l))
-        self.words = tuple(map(Word, self.letters))
-        self.position = {t: i for i, t in enumerate(self.letters)}
-        self.inverse = tuple(
-            self.position[tuple(map(operator.neg, t[::-1]))] for t in self.letters
-        )
-        # the (l-1)-ball is a prefix, since words sort by length first
-        self.interior = sum(1 for t in self.letters if len(t) < l)
-
-
 @functools.lru_cache(maxsize=8)
-def _ball_index(k: int, l: int) -> _BallIndex:
-    return _BallIndex(k, l)
+def _interior(k: int, l: int) -> tuple[list, list]:
+    # the (l-1)-ball of F(k) in ascending word order, and the inverses
+    letters = ball_letters(k, l - 1)
+    return letters, list(map(inverse_letters, letters))
 
 
-def _product(a: tuple, b: tuple, l: int, position: dict) -> int:
-    # index of the reduced product of letter tuples a and b, or -1 when
-    # it is longer than l
-    n, m = len(a), len(b)
-    c = 0
-    while c < n and c < m and a[n - 1 - c] == -b[c]:
-        c += 1
-    if n + m - 2 * c > l:
-        return -1
-    return position[a[: n - c] + b[c:]]
-
-
-def _close(
-    ix: _BallIndex,
-    cone: Iterable[int],
-    delta: Iterable[int],
-) -> set[int]:
-    """The closure of a product-closed cone with delta adjoined.
+def _close(l: int, cone: Iterable[tuple], delta: Iterable[tuple]) -> set[tuple]:
+    """The closure in the l-ball of a product-closed cone of letter tuples
+    with delta adjoined.
 
     Semi-naive: each round multiplies only the elements new in the last
-    round, in both orders, against the cone. The closure ends, unfinished,
-    as soon as e enters the cone.
+    round, in both orders, against the cone, with the new element as the
+    outer loop. The closure ends, unfinished, as soon as e enters the cone.
     """
-    letters, position, l = ix.letters, ix.position, ix.l
     cone = set(cone)
     delta = set(delta) - cone
     while delta:
         cone |= delta
-        if 0 in cone:
+        if () in cone:
             break
         fresh = set()
-        # e is left out: its products add nothing
-        others = [letters[x] for x in cone if x]
-        for d in delta:
-            if not d:
-                continue
-            a = letters[d]
-            short = l - len(a)
+        for a in delta:
+            n = len(a)
+            short = l - n
             head, tail = -a[-1], -a[0]
-            for b in others:
+            for b in cone:
                 # a product longer than l stays in the ball only if its
                 # seam cancels
-                if len(b) <= short or b[0] == head:
-                    p = _product(a, b, l, position)
-                    if p >= 0 and p not in cone:
-                        fresh.add(p)
-                if len(b) <= short or b[-1] == tail:
-                    p = _product(b, a, l, position)
-                    if p >= 0 and p not in cone:
-                        fresh.add(p)
+                m = len(b)
+                if b[0] == head:
+                    i, stop = 1, min(n, m)
+                    while i < stop and a[n - 1 - i] == -b[i]:
+                        i += 1
+                    if n + m - 2 * i <= l:
+                        c = a[: n - i] + b[i:]
+                        if c not in cone:
+                            fresh.add(c)
+                elif m <= short:
+                    c = a + b
+                    if c not in cone:
+                        fresh.add(c)
+                if b[-1] == tail:
+                    i, stop = 1, min(n, m)
+                    while i < stop and b[m - 1 - i] == -a[i]:
+                        i += 1
+                    if n + m - 2 * i <= l:
+                        c = b[: m - i] + a[i:]
+                        if c not in cone:
+                            fresh.add(c)
+                elif m <= short:
+                    c = b + a
+                    if c not in cone:
+                        fresh.add(c)
         delta = fresh
     return cone
 
@@ -476,11 +452,12 @@ def product_closure_in_ball(words: Iterable[Word], l: int) -> frozenset[Word]:
     """Least superset closed under reduced products of length <= l.
 
     Words longer than l are kept and take part in products that land back
-    in the l-ball. A thin wrapper over ``words.close_letters``: the cost
-    grows with the closure, not with the l-ball.
+    in the l-ball. ``bounded_closure_with_parents`` over a free group:
+    the cost grows with the closure, not with the l-ball.
     """
-    closed, _ = close_letters((w.letters for w in words), l)
-    return frozenset(map(reduced_word, closed))
+    words = frozenset(words)
+    rank = max((abs(x) for w in words for x in w.letters), default=1)
+    return bounded_closure_with_parents(words, l, FreeGroupOracle(rank))[0]
 
 
 def clay_smith(
@@ -495,10 +472,11 @@ def clay_smith(
     on success, None when every branch dies (no right order extends the
     input). The empty set extends trivially.
 
-    The l-ball is indexed once per (k, l). A branch copies its parent's
-    cone, which is already closed, and re-closes it from the one adjoined
-    element only, stopping as soon as e enters. Raises ValueError on a
-    word with a letter outside F(k).
+    Cones are sets of letter tuples, and Words are built only for the
+    returned order; the (l-1)-ball and its inverses are listed once per
+    (k, l). A branch copies its parent's cone, which is already closed,
+    and re-closes it from the one adjoined element only, stopping as soon
+    as e enters. Raises ValueError on a word with a letter outside F(k).
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each branch
     checks the clock before it closes, and one past it returns
@@ -509,31 +487,29 @@ def clay_smith(
         if any(abs(x) > k for x in w.letters):
             raise ValueError(f"{w} is not a word of F({k})")
     l = max(1, max((len(w) for w in start), default=1))
-    ix = _ball_index(k, l)
-    inverse = ix.inverse
-    indices = [ix.position[w.letters] for w in start]
-    cone = _close(ix, (), indices)
-    # the (parent cone, t) of every branch whose negative side, t^-1, is
-    # still to be tried
-    pending: list[tuple[set[int], int]] = []
+    interior, inverses = _interior(k, l)
+    cone = _close(l, (), (w.letters for w in start))
+    # the (parent cone, t) of every branch whose negative side, the
+    # inverse of interior[t], is still to be tried
+    pending: list[tuple[set[tuple], int]] = []
     t = 1
     while True:
-        if 0 in cone:
+        if () in cone:
             if not pending:
                 return None
             cone, t = pending.pop()
-            adjoined = inverse[t]
+            adjoined = inverses[t]
         else:
-            while t < ix.interior and (t in cone or inverse[t] in cone):
+            while t < len(interior) and (interior[t] in cone or inverses[t] in cone):
                 t += 1
-            if t == ix.interior:
-                positives = frozenset(ix.words[i] for i in cone)
+            if t == len(interior):
+                positives = frozenset(map(reduced_word, cone))
                 return TruncatedRightOrder(rank=k, l=l, positives=positives)
             pending.append((cone, t))
-            adjoined = t
+            adjoined = interior[t]
         if deadline is not None and time.monotonic() > deadline:
             return Unknown(budgets={"deadline": deadline})
-        cone = _close(ix, cone, (adjoined,))
+        cone = _close(l, cone, (adjoined,))
 
 
 class WitnessError(RuntimeError):

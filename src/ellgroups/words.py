@@ -50,11 +50,11 @@ class Word:
         return concat_reduce(self, other)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)))
+        return reduced_word(inverse_letters(self.letters))
 
     @property
     def key(self) -> tuple:
-        return (len(self.letters), tuple(map(_code, self.letters)))
+        return letters_key(self.letters)
 
     def __lt__(self, other: "Word") -> bool:
         return self.key < other.key
@@ -104,10 +104,21 @@ def reduced_word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-def _round_products(lefts, rights, radius: int, current: set, new: dict) -> None:
-    # every a*b, a from lefts and b from rights in that nested order, of
-    # length <= radius and not yet in current goes into current, and into
-    # new with (a, b) as its parents; e is in neither list
+def letters_key(letters: tuple[int, ...]) -> tuple:
+    """The sort key of a reduced word's letters: length, then letterwise."""
+    return (len(letters), tuple(map(_code, letters)))
+
+
+def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of a reduced word's inverse, which is reduced too."""
+    return tuple(-l for l in reversed(letters))
+
+
+def round_products(lefts, rights, radius: int, current: set, new: dict) -> None:
+    """One closure round's products on letter tuples: every a*b, a from
+    lefts and b from rights in that nested order, of length <= radius and
+    not yet in current goes into current, and into new with (a, b) as its
+    parents. e is in neither list."""
     for a in lefts:
         n = len(a)
         head, short = -a[-1], radius - n
@@ -126,51 +137,6 @@ def _round_products(lefts, rights, radius: int, current: set, new: dict) -> None
             if c not in current:
                 current.add(c)
                 new[c] = (a, b)
-
-
-def close_letters(
-    elements: Iterable[tuple[int, ...]],
-    radius: int,
-    *,
-    stop_at_identity: bool = False,
-    size_cap: Optional[int] = None,
-) -> tuple[set[tuple[int, ...]], dict]:
-    """Close reduced letter tuples under free products of length <= radius.
-
-    Returns the closed set and, for every added element, the first pair
-    (a, b) found with a*b equal to it. Frontier rounds: with the elements
-    in ascending word order, a round multiplies every older element by
-    every fresh one (new in the last round), then every fresh element by
-    every older one that is not fresh. Elements longer than the radius
-    are kept and take part in products. Before each round the closure
-    stops once the identity is in it, with ``stop_at_identity``, or once
-    it holds ``size_cap`` elements. No Word is built.
-    """
-    keys = {t: (len(t), tuple(map(_code, t))) for t in elements}
-    key = keys.__getitem__
-    current = set(keys)
-    parents: dict = {}
-    older = sorted(current, key=key)
-    fresh = older
-    while fresh:
-        if stop_at_identity and () in current:
-            break
-        if size_cap is not None and len(current) >= size_cap:
-            break
-        # products with e add nothing
-        lefts = [a for a in older if a]
-        rights = [b for b in fresh if b]
-        new: dict = {}
-        _round_products(lefts, rights, radius, current, new)
-        fresh_set = set(fresh)
-        _round_products(rights, [b for b in lefts if b not in fresh_set], radius, current, new)
-        parents.update(new)
-        for c in new:
-            keys[c] = (len(c), tuple(map(_code, c)))
-        fresh = sorted(new, key=key)
-        # two sorted runs: the sort merges them
-        older = sorted(older + fresh, key=key)
-    return current, parents
 
 
 def invert(a: Word) -> Word:
@@ -256,7 +222,7 @@ def difference_table(
     # e has no parent, and its last letter 0 matches no other node's
     last = [t[-1] if t else 0 for t in nodes]
     parent = [position[t[:-1]] if t else 0 for t in nodes]
-    inverse_letters = [tuple(-l for l in reversed(t)) for t in nodes]
+    inverted = list(map(inverse_letters, nodes))
     # pair i < j holds c when nodes[i] * nodes[j]^-1 is the representative
     # of class c, ~c when nodes[j] * nodes[i]^-1 is
     table = [0] * (n * n)
@@ -276,14 +242,14 @@ def difference_table(
                     c = classes.get(d_inverse)
                     if c is None:
                         c = classes[d_inverse] = len(reps)
-                        reps.append(nodes[j] + inverse_letters[i])
+                        reps.append(nodes[j] + inverted[i])
                         pairs.append([])
                     c = ~c
                 else:
                     c = classes.get(d)
                     if c is None:
                         c = classes[d] = len(reps)
-                        reps.append(nodes[i] + inverse_letters[j])
+                        reps.append(nodes[i] + inverted[j])
                         pairs.append([])
             table[row + j] = c
             if c >= 0:

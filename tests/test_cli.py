@@ -371,6 +371,21 @@ class TestRefusedInput:
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 500}]
         assert elapsed < 2
 
+    def test_budget_binds_inside_the_presented_closure(self):
+        # the closure certificate of this join takes about 5 million oracle
+        # products, for seconds, before it finds e
+        started = time.monotonic()
+        proc = run_limited(
+            "decide", "--group", "zn:3", "--budget-ms", "200",
+            "e <= " + "x*" * 20 + r"y*z \/ x^-1 \/ y^-1 \/ z^-1", seconds=30,
+        )
+        elapsed = time.monotonic() - started
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 200}]
+        assert elapsed < 2
+
     @pytest.mark.parametrize("depth", [100, 200, 3000])
     def test_nesting_depth(self, depth):
         statement = "e <= " + "(" * depth + "x" + ")" * depth

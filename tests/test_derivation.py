@@ -6,8 +6,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellgroups import derivation
 from ellgroups.derivation import (
     CertificateError,
+    PastDeadline,
     RuleSystem,
     Unknown,
     bounded_closure_with_parents,
@@ -23,7 +25,12 @@ from ellgroups.derivation import (
     tree_to_json,
     widen_tree,
 )
-from ellgroups.groups import FreeGroupOracle, IntLatticeOracle, KleinBottleOracle
+from ellgroups.groups import (
+    FreeGroupOracle,
+    IntLatticeOracle,
+    KleinBottleOracle,
+    decide_presented_lg,
+)
 from ellgroups.rightorder import clay_smith, decide_valid_lg, LgValid
 from ellgroups.terms import parse_group_word
 from ellgroups.words import IDENTITY, ball, word
@@ -341,6 +348,54 @@ class TestClosureKernels:
         for _ in range(60):
             S = rng.sample(ball3, rng.randint(1, 3))
             assert_same_closure(S, 6, oracle, **options)
+
+
+class TestClosureDeadline:
+    def test_spent_deadline_raises(self):
+        spent = time.monotonic() - 1
+        for S, oracle in (({W("x"), W("y")}, F2), ({(1, 0), (0, 1)}, IntLatticeOracle(2))):
+            with pytest.raises(PastDeadline):
+                bounded_closure_with_parents(S, 4, oracle, deadline=spent)
+
+    def test_spent_deadline_makes_the_closure_certificate_unknown(self):
+        # x + (y - x) - y = 0: no functional refutes the join, and its
+        # closure certificate is where the decider would find e
+        Z2 = IntLatticeOracle(2)
+        join = {W("x"), W("x^-1*y"), W("y^-1")}
+        assert decide_presented_lg(join, Z2).method == "closure"
+        spent = time.monotonic() - 1
+        verdict = decide_presented_lg(join, Z2, deadline=spent)
+        assert verdict == Unknown(budgets={"deadline": spent})
+
+    def test_search_passes_its_deadline_to_its_closures(self, monkeypatch):
+        seen = []
+        closure = derivation.bounded_closure_with_parents
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("deadline"))
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(derivation, "bounded_closure_with_parents", spy)
+        far = time.monotonic() + 3600
+        search({W("x*x"), W("y*y"), W("x^-1*y^-1")}, RuleSystem.RIGHT_ORDER, F2, deadline=far)
+        assert seen and set(seen) == {far}
+
+    def test_far_deadline_leaves_closures_unchanged(self, monkeypatch):
+        # blocks of two left factors: the clock is read between most
+        # products, and the nested order, so every parent, stays
+        monkeypatch.setattr(derivation, "_CLOCK_BLOCK", 2)
+        far = time.monotonic() + 3600
+        elems = sorted(w for w in ball(2, 2) if w != IDENTITY)
+        families = [(F2, c) for r in (1, 2, 3) for c in itertools.combinations(elems, r)]
+        rng = random.Random(44)
+        for oracle in (IntLatticeOracle(2), KLEIN):
+            ball3 = [g for g in oracle.enumerate_ball(3) if not oracle.is_identity(g)]
+            families += [(oracle, rng.sample(ball3, rng.randint(1, 3))) for _ in range(60)]
+        for oracle, S in families:
+            closed, parents = bounded_closure_with_parents(S, 4, oracle)
+            got, got_parents = bounded_closure_with_parents(S, 4, oracle, deadline=far)
+            assert got == closed
+            assert list(got_parents.items()) == list(parents.items())
 
 
 class TestTreeTransformers:

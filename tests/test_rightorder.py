@@ -295,7 +295,7 @@ class TestProductClosure:
         def refuse(*args):
             raise AssertionError("the l-ball was indexed")
 
-        monkeypatch.setattr(rightorder, "_ball_index", refuse)
+        monkeypatch.setattr(rightorder, "ball_letters", refuse)
         powers = {W("*".join(["x*y"] * n)) for n in range(1, 6)}
         assert product_closure_in_ball({W("x*y")}, 11) == powers
 
