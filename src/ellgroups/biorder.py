@@ -307,9 +307,6 @@ def _fourier_motzkin(rows: list[tuple[int, ...]], k: int) -> Optional[tuple[int,
     return tuple(nums)
 
 
-_COMBINATION_CAP = 512  # safety net; duality guarantees a hit long before
-
-
 def _vector_set(vectors: Iterable[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
     """The distinct vectors in ascending order; ValueError for an empty
     set, a vector of another length or the zero vector."""
@@ -343,28 +340,43 @@ def positive_functional(
     return _checked_functional(_vector_set(vectors, k), k)
 
 
+# combinations between two reads of the clock in a search with a deadline
+_CLOCK_BLOCK = 4096
+
+
+def _clocked(combos, deadline: float):
+    for i, combo in enumerate(combos):
+        if i % _CLOCK_BLOCK == 0 and time.monotonic() > deadline:
+            raise derivation.PastDeadline
+        yield combo
+
+
 def decide_abelian_order_extension(
-    vectors: Iterable[tuple[int, ...]], k: int
+    vectors: Iterable[tuple[int, ...]], k: int, deadline: Optional[float] = None
 ) -> Union[ExtendsToOrder, DoesNotExtend]:
     """Exact dichotomy for order extension of finite subsets of Z^k.
 
-    Returns a strictly positive integer functional, or a nonzero
-    nonnegative integer combination of the vectors summing to zero.
-    Witnesses are re-verified by substitution before returning.
+    Returns a strictly positive integer functional, or else a nonzero
+    nonnegative integer combination of the vectors summing to zero, which
+    duality guarantees. Witnesses are re-verified by substitution before
+    returning. Past a ``deadline`` (a ``time.monotonic()`` instant), the
+    combination search raises ``derivation.PastDeadline``.
     """
     vs = _vector_set(vectors, k)
     functional = _checked_functional(vs, k)
     if functional is not None:
         return ExtendsToOrder(functional)
 
-    for total in range(1, _COMBINATION_CAP + 1):
-        for combo in itertools.combinations_with_replacement(vs, total):
+    for total in itertools.count(1):
+        combos = itertools.combinations_with_replacement(vs, total)
+        if deadline is not None:
+            combos = _clocked(combos, deadline)
+        for combo in combos:
             if all(sum(col) == 0 for col in zip(*combo)):
                 counts = [(v, combo.count(v)) for v in vs if v in combo]
                 if any(sum(v[i] * c for v, c in counts) != 0 for i in range(k)):
                     raise RuntimeError(f"combination {counts} does not vanish")
                 return DoesNotExtend(tuple(counts))
-    raise AssertionError("duality violated: no functional and no combination")
 
 
 def decide_klein_biorderable() -> DerivationTree:

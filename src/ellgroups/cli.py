@@ -2,8 +2,9 @@
 right orders, re-check certificates, and run regression corpora.
 
 Exit codes: 0 for any decided or unknown result, 1 for a failed corpus
-line or rejected certificate, 2 for parse errors and refused input (a bad
-group selector or rank, a statement too large or nested too deeply), 3 for
+line or rejected certificate, or for output whose reader closed the pipe
+before it was written, 2 for parse errors and refused input (a bad group
+selector or rank, a statement too large or nested too deeply), 3 for
 budget-exceeded under --strict, 4 for an invalid method/group combination,
 which is reported before the statement is parsed.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -115,7 +117,10 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
             return None
         out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER))
     elif args.variety == "abelian":
-        out.update(_abelian_json(join, oracle))
+        try:
+            out.update(_abelian_json(join, oracle, deadline))
+        except derivation.PastDeadline:
+            return None
     elif args.method == "derivation":
         tree = derivation.search(
             frozenset(oracle.canonicalize(w) for w in join),
@@ -139,14 +144,7 @@ def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
                 tree, derivation.RuleSystem.RIGHT_ORDER, oracle
             )
     elif not isinstance(oracle, groups.FreeGroupOracle):  # auto
-        verdict = groups.decide_presented_lg(
-            join,
-            oracle,
-            radius=args.radius,
-            depth=args.max_depth,
-            universe_cap=args.universe_cap,
-            deadline=deadline,
-        )
+        verdict = groups.decide_presented_lg(join, oracle, deadline)
         if _past_deadline(verdict):
             return None
         out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.RIGHT_ORDER))
@@ -178,14 +176,11 @@ def _verdict_json(verdict, oracle, system: derivation.RuleSystem) -> dict:
     """A derivation.Valid, Invalid or Unknown as JSON, with its certificate
     written in the rule system it was derived in."""
     if isinstance(verdict, derivation.Valid):
-        out = {"verdict": "valid", "method": verdict.method}
-        if verdict.certificate is not None:
-            out["certificate"] = derivation.tree_to_json(
-                verdict.certificate, system, oracle
-            )
-        if verdict.details:
-            out["details"] = dict(verdict.details)
-        return out
+        return {
+            "verdict": "valid",
+            "method": verdict.method,
+            "certificate": derivation.tree_to_json(verdict.certificate, system, oracle),
+        }
     if isinstance(verdict, derivation.Invalid):
         witness = verdict.witness
         return {"verdict": "invalid", "method": verdict.method, "witness": witness}
@@ -201,11 +196,11 @@ def _abelian_witness(outcome) -> dict:
     }
 
 
-def _abelian_json(join, oracle) -> dict:
+def _abelian_json(join, oracle, deadline) -> dict:
     points = frozenset(oracle.canonicalize(w) for w in join)
     if oracle.identity in points:
         return {"verdict": "valid", "method": "identity"}
-    outcome = biorder.decide_abelian_order_extension(points, oracle.k)
+    outcome = biorder.decide_abelian_order_extension(points, oracle.k, deadline)
     extends = isinstance(outcome, biorder.ExtendsToOrder)
     return {
         "verdict": "invalid" if extends else "valid",
@@ -466,11 +461,11 @@ def run_corpus(args) -> int:
             print(f"line {lineno}: bad expected verdict {expected!r}")
             return EXIT_PARSE
         total += 1
-        # decided as `decide` decides it with no --group, --method,
-        # --radius or --budget-ms
+        # decided as `decide` decides it with no --group, --method or
+        # --budget-ms
         line_args = argparse.Namespace(
             **vars(args), variety=variety, statement=statement,
-            group=None, method="auto", radius=None, budget_ms=None,
+            group=None, method="auto", budget_ms=None,
         )
         try:
             verdict = _aggregate(_decide_statement(line_args, None)[1])
@@ -498,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     groups_help = f"free:K, zn:K, or klein, with 1 <= K <= {groups.MAX_RANK}"
 
     search_read_by = (
-        "; read only by --variety rg, --method derivation and lg over"
-        " klein or zn:K with --method auto, ignored elsewhere"
+        "; read only by --variety rg and --method derivation, ignored elsewhere"
     )
 
     def search_options(p):
@@ -535,15 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search_options(p_decide)
     p_decide.add_argument(
-        "--radius", type=int, default=None,
-        help="radius of the bounded product closure (default twice the"
-        " longest join word, at least 2); read only by lg over klein or"
-        " zn:K with --method auto, ignored elsewhere",
-    )
-    p_decide.add_argument(
         "--budget-ms", type=int, default=None,
         help="checked between join sets and in the cis, truncated,"
-        " derivation and rg searches and the presented-group closure",
+        " derivation and rg searches, the presented-group closure and the"
+        " abelian combination search",
     )
     p_decide.add_argument("--strict", action="store_true")
     p_decide.set_defaults(func=run_decide)
@@ -582,7 +571,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a short document is written only here, not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; the interpreter flushes stdout again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 A tree concludes a finite set of oracle-canonical group elements. Leaves
 witness an element together with its inverse, or a product of conclusion
 elements equal to the identity. Inner nodes split one element c = a*b
-into two premises (product rule), or rotate a factorization c = a*b into
-a premise containing b*a (exchange rule, admitted only in the bi-order
+into two premises (product rule), adjoin an element g != e in one premise
+and its inverse in the other (split rule: every g != e is positive or
+negative in a total order), or rotate a factorization c = a*b into a
+premise containing b*a (exchange rule, admitted only in the bi-order
 rule system). The checker verifies every side condition with oracle
 arithmetic and trusts nothing else.
 
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .words import Word, letters_key, reduced_word, round_products
+from .words import Word, letters_key, reduced_word, render_word, round_products
 from . import terms
 
 Element = Hashable
@@ -35,12 +37,9 @@ class RuleSystem(enum.Enum):
 @dataclass(frozen=True)
 class DerivationTree:
     conclusion: frozenset
-    rule: str  # "leaf" | "closure-leaf" | "product" | "exchange"
+    rule: str  # "leaf" | "closure-leaf" | "product" | "split" | "exchange"
     data: tuple
     children: tuple["DerivationTree", ...] = ()
-
-    def depth(self) -> int:
-        return max((c.depth() + 1 for c in self.children), default=0)
 
 
 def leaf(conclusion: Iterable[Element], element: Element) -> DerivationTree:
@@ -76,9 +75,8 @@ def exchange_node(
 
 @dataclass(frozen=True)
 class Valid:
-    certificate: Optional[DerivationTree]
+    certificate: DerivationTree
     method: str
-    details: Optional[Mapping] = None
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,20 @@ def _check_node(
                 break
         else:
             raise CertificateError(path, "premise sets do not match the split")
+        for i, child in enumerate(node.children):
+            _check_node(child, system, oracle, path + (i,))
+        return
+    if node.rule == "split":
+        (g,) = node.data
+        if not _is_canonical(oracle, g) or oracle.is_identity(g):
+            raise CertificateError(path, f"split on {g!r}, e or not canonical")
+        if len(node.children) != 2:
+            raise CertificateError(path, "split rule needs two premises")
+        if (
+            node.children[0].conclusion != conclusion | {g}
+            or node.children[1].conclusion != conclusion | {oracle.invert(g)}
+        ):
+            raise CertificateError(path, "premises do not adjoin g and g^-1")
         for i, child in enumerate(node.children):
             _check_node(child, system, oracle, path + (i,))
         return
@@ -459,30 +471,27 @@ def exchange_extension(
     return exchange_node(conclusion, ba, b, a, tree)
 
 
-def _render(oracle, g: Element) -> str:
-    from .words import render_word
-
-    return render_word(oracle.to_word(g))
-
-
 def tree_to_json(tree: DerivationTree, system: RuleSystem, oracle) -> dict:
+    # the nodes of a tree share most of their elements
+    @functools.cache
+    def render(g: Element) -> str:
+        return render_word(oracle.to_word(g))
+
     def node(t: DerivationTree) -> dict:
         doc: dict = {
-            "conclusion": sorted(
-                (_render(oracle, g) for g in t.conclusion),
-            ),
+            "conclusion": sorted(map(render, t.conclusion)),
             "rule": t.rule,
         }
-        if t.rule == "leaf":
-            doc["data"] = {"element": _render(oracle, t.data[0])}
+        if t.rule in ("leaf", "split"):
+            doc["data"] = {"element": render(t.data[0])}
         elif t.rule == "closure-leaf":
-            doc["data"] = {"sequence": [_render(oracle, g) for g in t.data]}
+            doc["data"] = {"sequence": [render(g) for g in t.data]}
         else:
             c, a, b = t.data
             doc["data"] = {
-                "element": _render(oracle, c),
-                "left": _render(oracle, a),
-                "right": _render(oracle, b),
+                "element": render(c),
+                "left": render(a),
+                "right": render(b),
             }
         doc["children"] = [node(c) for c in t.children]
         return doc
@@ -500,7 +509,7 @@ def tree_from_json(doc: dict, oracle) -> tuple[DerivationTree, RuleSystem]:
         conclusion = frozenset(element(s) for s in d["conclusion"])
         rule = d["rule"]
         children = tuple(node(c) for c in d.get("children", ()))
-        if rule == "leaf":
+        if rule in ("leaf", "split"):
             data: tuple = (element(d["data"]["element"]),)
         elif rule == "closure-leaf":
             data = tuple(element(s) for s in d["data"]["sequence"])

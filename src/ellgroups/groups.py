@@ -23,11 +23,11 @@ import operator
 import re
 from typing import Iterable, NamedTuple, Optional
 
-from . import derivation
 from .derivation import (
     DerivationTree,
     Invalid,
-    RuleSystem,
+    PastDeadline,
+    Unknown,
     Valid,
     bounded_closure_with_parents,
     closure_leaf,
@@ -236,19 +236,6 @@ def klein_right_order_sign(g: KleinElement, variant: int) -> int:
     return 0
 
 
-def _closure_certificate(
-    canonical: frozenset, radius: int, oracle, deadline: Optional[float] = None
-) -> Optional[DerivationTree]:
-    # the identity's parents are fixed in the round it enters
-    closed, parents = bounded_closure_with_parents(
-        canonical, radius, oracle, stop_at_identity=True, deadline=deadline
-    )
-    if oracle.identity not in closed:
-        return None
-    seq = product_witness(oracle.identity, canonical, parents)
-    return closure_leaf(canonical, seq)
-
-
 def _klein_cone_containing(canonical: frozenset) -> Optional[int]:
     for variant in range(1, 5):
         if all(klein_right_order_sign(g, variant) == 1 for g in canonical):
@@ -256,50 +243,47 @@ def _klein_cone_containing(canonical: frozenset) -> Optional[int]:
     return None
 
 
-def _cone_refutation(canonical: frozenset, oracle) -> Optional[Invalid]:
-    # a right order whose positive cone holds the join: neither a closure
-    # certificate nor a derivation can then exist
-    if isinstance(oracle, KleinBottleOracle):
-        variant = _klein_cone_containing(canonical)
-        if variant is not None:
-            eps = KLEIN_ORDER_VARIANTS[variant - 1]
-            return Invalid(
-                witness={"variant": variant, "epsilon": eps},
-                method="klein-orders",
+def _klein_certificate(canonical: frozenset) -> DerivationTree:
+    """A sign split on x, then on y, for a join no right order holds: in
+    the order of each sign pair (ex, ey) some join element s = x^m y^n is
+    negative, and s times powers of x^ex and y^ey is e."""
+    x, y, halves = KleinElement(1, 0), KleinElement(0, 1), []
+    for ex in (1, -1):
+        px, leaves = KleinElement(ex, 0), []
+        for ey in (1, -1):
+            py = KleinElement(0, ey)
+            variant = KLEIN_ORDER_VARIANTS.index((ex, ey)) + 1
+            s = min(
+                (g for g in canonical if klein_right_order_sign(g, variant) == -1),
+                key=lambda g: (_KLEIN.length(g), g),
             )
-    elif isinstance(oracle, IntLatticeOracle):
-        from .biorder import positive_functional
+            if s.m == 0:
+                seq = [s] + [py] * abs(s.n)
+            else:
+                # s * px^(|m|-1) = x^-ex y^n
+                n = s.n if s.m % 2 else -s.n
+                ys = [py] * abs(n)
+                tail = ys + [px] if ey * n <= 0 else [px] + ys
+                seq = [s] + [px] * (abs(s.m) - 1) + tail
+            leaves.append(closure_leaf(canonical | {px, py}, seq))
+        halves.append(DerivationTree(canonical | {px}, "split", (y,), tuple(leaves)))
+    return DerivationTree(canonical, "split", (x,), tuple(halves))
 
-        functional = positive_functional(canonical, oracle.k)
-        if functional is not None:
-            return Invalid(
-                witness={"functional": functional}, method="abelian-duality"
-            )
-    return None
 
-
-def decide_presented_lg(
-    join: Iterable[Word],
-    oracle,
-    *,
-    radius: Optional[int] = None,
-    depth: int = 4,
-    universe_cap: int = 32,
-    deadline: Optional[float] = None,
-):
+def decide_presented_lg(join: Iterable[Word], oracle, deadline: Optional[float] = None):
     """Decide e <= join in lattice-ordered groups satisfying the relations
     of the Klein bottle group or of Z^k; ValueError for any other oracle.
 
-    A join holding the identity is valid at once. Refutation comes next,
-    being complete and cheap: a Klein bottle join inside one of the
-    group's four right orders, or a Z^k join on which some functional is
-    strictly positive, is invalid, and no certificate is searched for.
-    Certificates come after: an identity in the bounded product closure
-    of the canonical join images, then derivation search. Without one,
-    the Klein bottle join is valid (no right order holds it), and a Z^k
-    join yields a vanishing combination by exact linear duality.
-    A ``deadline`` binds in the closure and in the derivation search;
-    past it the verdict is ``Unknown`` naming the deadline.
+    A join holding the identity is valid at once. A Klein bottle join is
+    invalid inside one of the group's four right orders, and otherwise
+    valid with a certificate built outright: a sign split on x and on y,
+    and a product reaching e in each of the four branches. A Z^k join on
+    which some functional is strictly positive is invalid; otherwise it
+    is valid, certified by an identity in the bounded product closure of
+    the canonical join images (radius twice the longest, at least 2), or
+    else by the vanishing combination of ``decide_abelian_order_extension``.
+    A ``deadline`` binds in the closure and the combination search; past
+    it the verdict is ``Unknown`` naming the deadline.
     """
     if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
         raise ValueError("the presented-group decider takes klein or zn:K")
@@ -307,42 +291,34 @@ def decide_presented_lg(
     if not join:
         raise ValueError("empty join set")
     canonical = frozenset(oracle.canonicalize(w) for w in join)
-    if radius is None:
-        radius = max(2, 2 * max(oracle.length(g) for g in canonical))
 
     if oracle.identity in canonical:
         return Valid(leaf(canonical, oracle.identity), "identity")
-    refutation = _cone_refutation(canonical, oracle)
-    if refutation is not None:
-        return refutation
-
-    try:
-        certificate = _closure_certificate(canonical, radius, oracle, deadline)
-    except derivation.PastDeadline:
-        return derivation.Unknown(budgets={"deadline": deadline})
-    method = "closure"
-    if certificate is None:
-        certificate = derivation.search(
-            canonical,
-            RuleSystem.RIGHT_ORDER,
-            oracle,
-            max_depth=depth,
-            universe_cap=universe_cap,
-            deadline=deadline,
-        )
-        if isinstance(certificate, derivation.Unknown):
-            return certificate
-        method = "derivation-search"
-    if certificate is not None:
-        return Valid(certificate, method)
-
     if isinstance(oracle, KleinBottleOracle):
-        return Valid(None, "klein-orders", {"cones_checked": 4})
+        variant = _klein_cone_containing(canonical)
+        if variant is None:
+            return Valid(_klein_certificate(canonical), "klein-orders")
+        witness = {"variant": variant, "epsilon": KLEIN_ORDER_VARIANTS[variant - 1]}
+        return Invalid(witness, "klein-orders")
 
-    from .biorder import decide_abelian_order_extension
+    from .biorder import decide_abelian_order_extension, positive_functional
 
-    # no functional: the dichotomy yields a combination
-    outcome = decide_abelian_order_extension(canonical, oracle.k)
+    functional = positive_functional(canonical, oracle.k)
+    if functional is not None:
+        return Invalid({"functional": functional}, "abelian-duality")
+    radius = max(2, 2 * max(oracle.length(g) for g in canonical))
+    try:
+        # the identity's parents are fixed in the round it enters
+        closed, parents = bounded_closure_with_parents(
+            canonical, radius, oracle, stop_at_identity=True, deadline=deadline
+        )
+        if oracle.identity in closed:
+            seq = product_witness(oracle.identity, canonical, parents)
+            return Valid(closure_leaf(canonical, seq), "closure")
+        # no functional: the dichotomy yields a combination
+        outcome = decide_abelian_order_extension(canonical, oracle.k, deadline)
+    except PastDeadline:
+        return Unknown(budgets={"deadline": deadline})
     seq = [elem for elem, count in outcome.combination for _ in range(count)]
     return Valid(closure_leaf(canonical, seq), "abelian-duality")
 

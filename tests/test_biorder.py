@@ -26,6 +26,7 @@ from ellgroups.biorder import (
 from ellgroups.derivation import (
     CertificateError,
     Invalid,
+    PastDeadline,
     RuleSystem,
     Unknown,
     Valid,
@@ -237,6 +238,19 @@ class TestAbelian:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             decide_abelian_order_extension({(0, 0), (1, 1)}, 2)
+
+    def test_combination_past_512_vectors(self):
+        # 1 * 513 + 513 * (-1) = 0 takes 514 vectors; duality alone ends
+        # the search
+        out = decide_abelian_order_extension([(513,), (-1,)], 1)
+        assert out == DoesNotExtend((((-1,), 513), ((513,), 1)))
+
+    def test_spent_deadline_stops_the_combination_search(self):
+        spent = time.monotonic() - 1
+        with pytest.raises(PastDeadline):
+            decide_abelian_order_extension({(3,), (-5,)}, 1, spent)
+        # a refutation needs no combination search
+        assert isinstance(decide_abelian_order_extension({(3,)}, 1, spent), ExtendsToOrder)
 
     def test_exhaustive_small_plane(self):
         points = [

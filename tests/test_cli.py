@@ -193,17 +193,6 @@ class TestDecide:
         assert main(["decide", *argv]) == EXIT_BAD_COMBINATION
         assert capsys.readouterr().out == ""
 
-    def test_universe_cap_reaches_the_presented_decider(self, capsys):
-        statement = r"e <= x*x*y \/ x^-1*x^-1"
-        methods = []
-        for cap in ("0", "32"):
-            code, doc = run_json(
-                capsys, "decide", "--group", "klein", "--universe-cap", cap, statement
-            )
-            assert code == EXIT_OK and doc["verdict"] == "valid"
-            methods += [c["method"] for c in doc["certificate"]]
-        assert methods == ["klein-orders", "derivation-search"]
-
     def test_derivation_method(self, capsys):
         code, doc = run_json(
             capsys,
@@ -261,9 +250,10 @@ class TestDecide:
         assert strip_millis(doc1) == strip_millis(doc2)
 
     def test_cli_output_pinned(self, capsys):
-        # recorded before the presented-group decider refuted first and
-        # the closure ran on letter tuples; the hash covers every
-        # (variety, group) pair, certificates and witnesses included
+        # recorded when valid lg joins over klein got split certificates,
+        # with every other line unchanged since the presented-group decider
+        # refuted first; the hash covers every (variety, group) pair,
+        # certificates and witnesses included
         lines = []
         for argv in pinned_statements():
             code, doc = run_json(capsys, *argv)
@@ -271,7 +261,7 @@ class TestDecide:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert len(lines) == 147
         assert digest == (
-            "6292f0f0b34ae6cdd0b0cf4d0b996432f8f41b488ef600dbbd200d44d82cfd96"
+            "2f6bbc3ed0fada7414cb100720012bab8aead999789b43d58937633e9e8146d5"
         )
 
     def test_more_outputs_pinned(self, capsys):
@@ -385,6 +375,40 @@ class TestRefusedInput:
         assert doc["verdict"] == "unknown"
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 200}]
         assert elapsed < 2
+
+    def test_budget_binds_inside_the_combination_search(self):
+        # no functional is positive on the four vectors, and the vanishing
+        # combination of 103 of them takes millions of candidates
+        started = time.monotonic()
+        proc = run_limited(
+            "decide", "--variety", "abelian", "--budget-ms", "200",
+            "e <= " + "x*" * 100 + r"y*z \/ x^-1 \/ y^-1 \/ z^-1", seconds=30,
+        )
+        elapsed = time.monotonic() - started
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 200}]
+        assert elapsed < 2
+
+    def test_closed_pipe_ends_quietly(self):
+        # a 369 KB document, of which the reader takes 100 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ellgroups", "decide", "--budget-ms", "0",
+             "e <= " + "*".join([r"(x/\y)"] * 12)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in err
+        assert code == EXIT_FAIL
 
     @pytest.mark.parametrize("depth", [100, 200, 3000])
     def test_nesting_depth(self, depth):
@@ -537,6 +561,24 @@ class TestCertificateCheck:
         assert code == EXIT_FAIL
         assert out["accepted"] is False
 
+    def test_rejects_tampered_split(self, capsys, tmp_path):
+        code, doc = run_json(
+            capsys, "decide", "--group", "klein", r"e <= x*x*y \/ x^-1*x^-1"
+        )
+        (entry,) = doc["certificate"]
+        cert = entry["certificate"]
+        assert (entry["method"], cert["rule"]) == ("klein-orders", "split")
+        path = tmp_path / "cert.json"
+        argv = ("certificate", "check", "--group", "klein", str(path))
+        path.write_text(json.dumps(cert))
+        assert run_json(capsys, *argv) == (EXIT_OK, {"accepted": True, "system": "S"})
+        cert["children"].reverse()
+        path.write_text(json.dumps(cert))
+        code, out = run_json(capsys, *argv)
+        assert code == EXIT_FAIL
+        assert out["accepted"] is False
+        assert out["reason"] == "root: premises do not adjoin g and g^-1"
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -642,6 +684,7 @@ class TestOptions:
         "argv",
         [
             ("decide", "--json", "e <= x"),
+            ("decide", "--radius", "3", "e <= x"),
             ("extend-right", "--max-depth", "3", "{x}"),
             ("extend-right", "--strict", "{x}"),
             ("corpus", "--group", "free:2", str(CORPUS)),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ellgroups import derivation
 from ellgroups.derivation import (
     CertificateError,
+    DerivationTree,
     PastDeadline,
     RuleSystem,
     Unknown,
@@ -74,6 +75,15 @@ def free_tree_for_squares():
         left,
         right,
     )
+
+
+def integer_split_tree(g=(1,), swap=False):
+    # {2, -3} splits on 1: 1+1+1-3 = 0 and -1-1+2 = 0
+    positive = closure_leaf({(2,), (-3,), (1,)}, [(1,), (1,), (1,), (-3,)])
+    negative = closure_leaf({(2,), (-3,), (-1,)}, [(-1,), (-1,), (2,)])
+    if swap:
+        positive, negative = negative, positive
+    return DerivationTree(frozenset({(2,), (-3,)}), "split", (g,), (positive, negative))
 
 
 def conjugate_exchange_tree():
@@ -161,6 +171,36 @@ class TestCheck:
         free_leaf = leaf({W("y"), W("x*y*x^-1")}, W("y"))
         with pytest.raises(CertificateError):
             check(free_leaf, RuleSystem.BI_ORDER, F2)
+
+    def test_split_tree_accepted_in_both_systems(self):
+        for system in RuleSystem:
+            check(integer_split_tree(), system, Z)
+
+    @pytest.mark.parametrize(
+        "tree, match",
+        [
+            # {1} extends to an order; a split on e would prove it from
+            # the leaf {1, e}
+            (
+                DerivationTree(
+                    frozenset({(1,)}), "split", ((0,),), (leaf({(1,), (0,)}, (0,)),) * 2
+                ),
+                "e or",
+            ),
+            (integer_split_tree(swap=True), "premises"),
+            (integer_split_tree(g=(0, 1)), "canonical"),
+            (
+                DerivationTree(
+                    frozenset({(1,), (-1,)}), "split", ((1,),),
+                    (leaf({(1,), (-1,)}, (1,)),),
+                ),
+                "two premises",
+            ),
+        ],
+    )
+    def test_bad_split_rejected(self, tree, match):
+        with pytest.raises(CertificateError, match=match):
+            check(tree, RuleSystem.RIGHT_ORDER, Z)
 
     def test_non_canonical_conclusion_rejected(self):
         with pytest.raises(CertificateError, match="canonical"):
@@ -461,6 +501,14 @@ class TestJsonRoundTrip:
         back, system = tree_from_json(json.loads(json.dumps(doc)), KLEIN)
         assert back == tree
         check(back, system, KLEIN)
+
+    def test_split_tree(self):
+        tree = integer_split_tree()
+        doc = tree_to_json(tree, RuleSystem.RIGHT_ORDER, Z)
+        assert (doc["rule"], doc["data"]) == ("split", {"element": "x"})
+        back, system = tree_from_json(json.loads(json.dumps(doc)), Z)
+        assert back == tree
+        check(back, system, Z)
 
     def test_integer_tree(self):
         tree = integer_tree_for_3_minus5()

@@ -183,23 +183,44 @@ class TestDecidePresented:
         assert isinstance(verdict, Invalid)
         assert verdict.witness["variant"] == 1
 
-    def test_klein_valid_without_certificate(self):
-        # x^2 y^-1 and x^-2 y^-2 lie in no right order's cone; with the
-        # search cut to depth 0 no certificate is found, and the four
-        # orders settle it
+    def test_klein_valid_with_a_split_certificate(self):
+        # x^2 y^-1 and x^-2 y^-2 lie in no right order's cone: a split on
+        # x, then on y, and a product reaching e in each of the four
+        # branches prove it
         join = {KLEIN.to_word(KleinElement(2, -1)), KLEIN.to_word(KleinElement(-2, -2))}
-        verdict = decide_presented_lg(join, KLEIN, radius=2, depth=0)
-        assert verdict == Valid(None, "klein-orders", {"cones_checked": 4})
+        verdict = decide_presented_lg(join, KLEIN)
+        assert verdict.method == "klein-orders"
+        tree = verdict.certificate
+        assert [tree.rule, *(c.rule for c in tree.children)] == ["split"] * 3
+        check(tree, RuleSystem.RIGHT_ORDER, KLEIN)
 
-    def test_deadline_reaches_the_search(self, monkeypatch):
-        # with the closure certificate ruled out, the derivation search
-        # decides the join
-        monkeypatch.setattr(groups, "_closure_certificate", lambda *args: None)
-        join = {W("y"), W("x*y*x^-1")}
-        assert decide_presented_lg(join, KLEIN).method == "derivation-search"
-        deadline = time.monotonic() - 1
-        verdict = decide_presented_lg(join, KLEIN, deadline=deadline)
-        assert verdict == Unknown(budgets={"deadline": deadline})
+    def test_klein_small_subsets_exhaustively(self):
+        # every 1-3 element subset of the punctured radius-3 ball: invalid
+        # exactly inside a right order's cone, and otherwise certified
+        ball = [g for g in KLEIN.enumerate_ball(3) if not KLEIN.is_identity(g)]
+        certified = 0
+        for r in (1, 2, 3):
+            for subset in itertools.combinations(ball, r):
+                verdict = decide_presented_lg(map(KLEIN.to_word, subset), KLEIN)
+                in_a_cone = any(
+                    all(klein_right_order_sign(g, v) == 1 for g in subset)
+                    for v in range(1, 5)
+                )
+                assert isinstance(verdict, Invalid) == in_a_cone, subset
+                if not in_a_cone:
+                    assert verdict.method == "klein-orders"
+                    check(verdict.certificate, RuleSystem.RIGHT_ORDER, KLEIN)
+                    certified += 1
+        assert certified == 1404
+
+    def test_deadline_reaches_the_combination_search(self, monkeypatch):
+        # with the closure certificate ruled out, the combination search
+        # decides the join: x + (y - x) - y = 0
+        monkeypatch.setattr(groups, "bounded_closure_with_parents", lambda S, *a, **k: (S, {}))
+        join = {W("x"), W("x^-1*y"), W("y^-1")}
+        assert decide_presented_lg(join, Z2).method == "abelian-duality"
+        spent = time.monotonic() - 1
+        assert decide_presented_lg(join, Z2, spent) == Unknown(budgets={"deadline": spent})
 
     def test_other_oracles_refused(self):
         # free groups go to the complete free-group deciders instead
@@ -261,25 +282,23 @@ class TestRefuteFirst:
         # the closure certificate stops once e enters; its product
         # sequence is the one the full closure records
         rng = random.Random(41)
-        for oracle in (Z2, KLEIN):
-            found = 0
-            for _ in range(400):
-                join = frozenset(
-                    oracle.canonicalize(random_word(rng, max_len=3))
-                    for _ in range(rng.randint(2, 4))
-                )
-                if oracle.identity in join:
-                    continue
-                radius = max(2, 2 * max(oracle.length(g) for g in join))
-                full, parents = bounded_closure_with_parents(join, radius, oracle)
-                if oracle.identity not in full:
-                    continue
-                found += 1
-                sequence = product_witness(oracle.identity, join, parents)
-                assert groups._closure_certificate(join, radius, oracle) == closure_leaf(
-                    join, sequence
-                )
-            assert found >= 40, oracle.name
+        found = 0
+        for _ in range(400):
+            join = frozenset(
+                Z2.canonicalize(random_word(rng, max_len=3))
+                for _ in range(rng.randint(2, 4))
+            )
+            if Z2.identity in join:
+                continue
+            radius = max(2, 2 * max(Z2.length(g) for g in join))
+            full, parents = bounded_closure_with_parents(join, radius, Z2)
+            if Z2.identity not in full:
+                continue
+            found += 1
+            sequence = product_witness(Z2.identity, join, parents)
+            verdict = decide_presented_lg(map(Z2.to_word, join), Z2)
+            assert verdict == Valid(closure_leaf(join, sequence), "closure")
+        assert found >= 40
 
 
 class TestOracleSelector:
