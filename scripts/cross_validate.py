@@ -10,9 +10,10 @@ instead, for families too large to run whole:
 
     python scripts/cross_validate.py --radius 4 --sample 3000 --seed 1
 
-The truncated-order decider indexes the l-ball once per rank and radius
-and closes cones of integers semi-naively, re-closing each branch from
-its one adjoined element; the sign search takes most of the time here.
+The truncated-order decider lists the (l-1)-ball once per rank and
+radius and closes cones of letter tuples semi-naively, re-closing each
+branch from its one adjoined element. On subsets of the radius-3 ball
+the two deciders take about the same time.
 """
 
 import argparse

@@ -180,8 +180,9 @@ def decide_valid_rg(
     A uniform strict Magnus sign across the join set exhibits an order
     (or its dual) whose positive cone contains the set, refuting the
     inequation; a bi-order derivation tree certifies it. Budgets
-    exhausted on both sides yield Unknown, as does a ``deadline`` (a
-    ``time.monotonic()`` instant) passed in the order loop or the search.
+    exhausted on both sides yield Unknown naming them. Past a ``deadline``
+    (a ``time.monotonic()`` instant), the order loop or the search raises
+    ``derivation.PastDeadline``.
     """
     join = frozenset(join)
     if not join:
@@ -189,10 +190,7 @@ def decide_valid_rg(
     if IDENTITY in join:
         return Valid(leaf(join, IDENTITY), "identity")
 
-    try:
-        witness, orders_tried = _uniform_sign_order(join, k, budgets, deadline)
-    except derivation.PastDeadline:
-        return Unknown(budgets={"deadline": deadline})
+    witness, orders_tried = _uniform_sign_order(join, k, budgets, deadline)
     if witness is not None:
         order, sign = witness
         return Invalid(
@@ -213,8 +211,6 @@ def decide_valid_rg(
             universe_cap=budgets.universe_cap,
             deadline=deadline,
         )
-        if isinstance(tree, Unknown):
-            return tree
         if tree is not None:
             return Valid(tree, "derivation-search")
 

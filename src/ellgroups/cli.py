@@ -4,7 +4,8 @@ right orders, re-check certificates, and run regression corpora.
 Exit codes: 0 for any decided or unknown result, 1 for a failed corpus
 line or rejected certificate, or for output whose reader closed the pipe
 before it was written, 2 for parse errors and refused input (a bad group
-selector or rank, a statement too large or nested too deeply), 3 for
+selector or rank, a negative bound or budget, a statement too large or
+nested too deeply, a word set nested too deeply), 3 for
 budget-exceeded under --strict, 4 for an invalid method/group combination,
 which is reported before the statement is parsed.
 """
@@ -97,79 +98,65 @@ def _truncated_json(order: rightorder.TruncatedRightOrder) -> dict:
     return {"l": order.l, "positives": _word_list(order.positives)}
 
 
-def _past_deadline(verdict) -> bool:
-    # a decider's Unknown for a spent deadline, not for its own budgets
-    return isinstance(verdict, derivation.Unknown) and "deadline" in verdict.budgets
-
-
-def _decide_join(join, oracle, args, deadline) -> Optional[dict]:
-    """The entry of one join set, decided for args.variety over the oracle
-    by args.method; None when the deadline passes before it is decided."""
-    if deadline is not None and time.monotonic() > deadline:
-        return None
-    out: dict = {"join": _word_list(join)}
-    if args.variety == "rg":
-        budgets = biorder.RgBudgets(
-            search_depth=args.max_depth, universe_cap=args.universe_cap
-        )
-        verdict = biorder.decide_valid_rg(join, oracle.k, budgets, deadline)
-        if _past_deadline(verdict):
-            return None
-        out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER))
-    elif args.variety == "abelian":
-        try:
-            out.update(_abelian_json(join, oracle, deadline))
-        except derivation.PastDeadline:
-            return None
-    elif args.method == "derivation":
-        tree = derivation.search(
-            frozenset(oracle.canonicalize(w) for w in join),
-            derivation.RuleSystem.RIGHT_ORDER,
-            oracle,
-            max_depth=args.max_depth,
-            universe_cap=args.universe_cap,
-            deadline=deadline,
-        )
-        if _past_deadline(tree):
-            return None
-        if tree is None:
-            out["verdict"] = "unknown"
-            out["budgets"] = {
-                "max_depth": args.max_depth,
-                "universe_cap": args.universe_cap,
-            }
-        else:
-            out["verdict"] = "valid"
-            out["certificate"] = derivation.tree_to_json(
-                tree, derivation.RuleSystem.RIGHT_ORDER, oracle
-            )
-    elif not isinstance(oracle, groups.FreeGroupOracle):  # auto
-        verdict = groups.decide_presented_lg(join, oracle, deadline)
-        if _past_deadline(verdict):
-            return None
-        out.update(_verdict_json(verdict, oracle, derivation.RuleSystem.RIGHT_ORDER))
-    elif args.method == "truncated":
-        witness = rightorder.clay_smith(join, oracle.k, deadline)
-        if _past_deadline(witness):
-            return None
-        if witness is None:
-            out["verdict"] = "valid"
-        else:
-            out["verdict"] = "invalid"
-            out["witness"] = _truncated_json(witness)
-    else:  # cis, also for auto
-        verdict = rightorder.decide_valid_lg(join, deadline)
-        if _past_deadline(verdict):
-            return None
-        out["assignments"] = verdict.assignments_checked
-        out["nodes"] = verdict.nodes_explored
-        if isinstance(verdict, LgValid):
-            out["verdict"] = "valid"
-        else:
-            out["verdict"] = "invalid"
-            # written as JSON by run_decide, the only caller that prints it
-            out["witness"] = verdict
+def _cis(join, oracle, args, deadline) -> dict:
+    verdict = rightorder.decide_valid_lg(join, deadline)
+    out = {
+        "verdict": "valid" if isinstance(verdict, LgValid) else "invalid",
+        "assignments": verdict.assignments_checked,
+        "nodes": verdict.nodes_explored,
+    }
+    if isinstance(verdict, LgInvalid):
+        # written as JSON by run_decide, the only caller that prints it
+        out["witness"] = verdict
     return out
+
+
+def _truncated(join, oracle, args, deadline) -> dict:
+    witness = rightorder.clay_smith(join, oracle.k, deadline)
+    if witness is None:
+        return {"verdict": "valid"}
+    return {"verdict": "invalid", "witness": _truncated_json(witness)}
+
+
+def _derivation(join, oracle, args, deadline) -> dict:
+    system = derivation.RuleSystem.RIGHT_ORDER
+    tree = derivation.search(
+        frozenset(oracle.canonicalize(w) for w in join), system, oracle,
+        max_depth=args.max_depth, universe_cap=args.universe_cap, deadline=deadline,
+    )
+    if tree is None:
+        return {
+            "verdict": "unknown",
+            "budgets": {"max_depth": args.max_depth, "universe_cap": args.universe_cap},
+        }
+    certificate = derivation.tree_to_json(tree, system, oracle)
+    return {"verdict": "valid", "certificate": certificate}
+
+
+def _presented(join, oracle, args, deadline) -> dict:
+    verdict = groups.decide_presented_lg(join, oracle, deadline)
+    return _verdict_json(verdict, oracle, derivation.RuleSystem.RIGHT_ORDER)
+
+
+def _rg(join, oracle, args, deadline) -> dict:
+    budgets = biorder.RgBudgets(
+        search_depth=args.max_depth, universe_cap=args.universe_cap
+    )
+    verdict = biorder.decide_valid_rg(join, oracle.k, budgets, deadline)
+    return _verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER)
+
+
+def _abelian(join, oracle, args, deadline) -> dict:
+    points = frozenset(oracle.canonicalize(w) for w in join)
+    if oracle.identity in points:
+        return {"verdict": "valid", "method": "identity"}
+    outcome = biorder.decide_abelian_order_extension(points, oracle.k, deadline)
+    extends = isinstance(outcome, biorder.ExtendsToOrder)
+    return {
+        "verdict": "invalid" if extends else "valid",
+        "method": "abelian-duality",
+        "witness" if extends else "certificate": _abelian_witness(outcome),
+    }
 
 
 def _verdict_json(verdict, oracle, system: derivation.RuleSystem) -> dict:
@@ -193,19 +180,6 @@ def _abelian_witness(outcome) -> dict:
         return {"functional": list(outcome.functional)}
     return {
         "combination": [{"vector": list(v), "count": c} for v, c in outcome.combination]
-    }
-
-
-def _abelian_json(join, oracle, deadline) -> dict:
-    points = frozenset(oracle.canonicalize(w) for w in join)
-    if oracle.identity in points:
-        return {"verdict": "valid", "method": "identity"}
-    outcome = biorder.decide_abelian_order_extension(points, oracle.k, deadline)
-    extends = isinstance(outcome, biorder.ExtendsToOrder)
-    return {
-        "verdict": "invalid" if extends else "valid",
-        "method": "abelian-duality",
-        "witness" if extends else "certificate": _abelian_witness(outcome),
     }
 
 
@@ -244,18 +218,24 @@ def _statement_joinsets(text: str, k: int, max_term_nodes: int):
         raise Refused("statement nested too deeply") from None
 
 
-# the methods each variety takes over each kind of group, the kind being
-# the group's name up to any ":"
+# the deciders of each variety over each kind of group, the kind being
+# the group's name up to any ":", by method. A decider takes (join,
+# oracle, args, deadline), returns the join set's entry but for its
+# "join", and raises derivation.PastDeadline past the deadline.
 METHODS = {
-    ("lg", "free"): ("auto", "cis", "truncated", "derivation"),
-    ("lg", "zn"): ("auto", "derivation"),
-    ("lg", "klein"): ("auto", "derivation"),
-    ("rg", "free"): ("auto", "derivation"),
-    ("abelian", "zn"): ("auto",),
+    ("lg", "free"): {
+        "auto": _cis, "cis": _cis, "truncated": _truncated, "derivation": _derivation
+    },
+    ("lg", "zn"): {"auto": _presented, "derivation": _derivation},
+    ("lg", "klein"): {"auto": _presented, "derivation": _derivation},
+    ("rg", "free"): {"auto": _rg, "derivation": _rg},
+    ("abelian", "zn"): {"auto": _abelian},
 }
 
 
-def _check_method(variety: str, oracle, method: str) -> None:
+def _check_method(variety: str, oracle, method: str):
+    """The decider of the method for the variety over the oracle's group;
+    raises BadCombination if there is none."""
     methods = METHODS.get((variety, oracle.name.split(":")[0]))
     if methods is None:
         raise BadCombination(f"variety {variety} is not decided over {oracle.name}")
@@ -263,27 +243,29 @@ def _check_method(variety: str, oracle, method: str) -> None:
         raise BadCombination(
             f"method {method} does not apply to variety {variety} over {oracle.name}"
         )
+    return methods[method]
 
 
 def _decide_statement(args, deadline) -> tuple:
     """The oracle and the entries of args.statement's join sets, decided
-    up to the first invalid one. Raises BadCombination before the
+    up to the first invalid one; a join set reached or still undecided
+    past the deadline is unknown. Raises BadCombination before the
     statement is parsed, then terms.ParseError or Refused."""
     selector = args.group
     if selector is None:
         k = _inferred_rank(args.statement)
         selector = f"zn:{k}" if args.variety == "abelian" else f"free:{k}"
     oracle = _oracle(selector)
-    _check_method(args.variety, oracle, args.method)
+    decide = _check_method(args.variety, oracle, args.method)
     results = []
     for join in _statement_joinsets(args.statement, oracle.k, args.max_term_nodes):
-        entry = _decide_join(join, oracle, args, deadline)
-        if entry is None:
-            entry = {
-                "join": _word_list(join),
-                "verdict": "unknown",
-                "budgets": {"budget_ms": args.budget_ms},
-            }
+        try:
+            if deadline is not None and time.monotonic() > deadline:
+                raise derivation.PastDeadline
+            entry = decide(join, oracle, args, deadline)
+        except derivation.PastDeadline:
+            entry = {"verdict": "unknown", "budgets": {"budget_ms": args.budget_ms}}
+        entry["join"] = _word_list(join)
         results.append(entry)
         if entry["verdict"] == "invalid":
             break
@@ -351,6 +333,9 @@ def run_extend_right(args) -> int:
     try:
         oracle = _oracle(args.group or f"free:{_inferred_rank(args.words)}")
         word_set = terms.parse_word_set(args.words, oracle.k)
+    except RecursionError:
+        # the parser recurses once per level of parentheses
+        return _refused(Refused("word set nested too deeply"))
     except terms.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -380,6 +365,10 @@ def run_extend_right(args) -> int:
         points = frozenset(oracle.canonicalize(w) for w in word_set)
         if oracle.identity in points:
             doc["verdict"] = "not-extendable"
+        elif not points:
+            # every order holds the empty set; this one has x1 positive
+            doc["verdict"] = "extendable"
+            doc["witness"] = {"functional": [1] + [0] * (oracle.k - 1)}
         else:
             outcome = biorder.decide_abelian_order_extension(points, oracle.k)
             extends = isinstance(outcome, biorder.ExtendsToOrder)
@@ -483,6 +472,17 @@ def run_corpus(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _count(text: str) -> int:
+    # a bound or budget: an integer of at least 0, or exit 2
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"not an integer of at least 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellgroups",
@@ -498,16 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def search_options(p):
         p.add_argument(
-            "--max-depth", type=int, default=5,
+            "--max-depth", type=_count, default=5,
             help="depth of the derivation search" + search_read_by,
         )
         p.add_argument(
-            "--universe-cap", type=int, default=32,
+            "--universe-cap", type=_count, default=32,
             help="size cap on the derivation search's factor universe"
             + search_read_by,
         )
         p.add_argument(
-            "--max-term-nodes", type=int, default=10_000,
+            "--max-term-nodes", type=_count, default=10_000,
             help="reject statements whose syntax tree is larger than this "
             "(normalization can be exponential in it)",
         )
@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search_options(p_decide)
     p_decide.add_argument(
-        "--budget-ms", type=int, default=None,
+        "--budget-ms", type=_count, default=None,
         help="checked between join sets and in the cis, truncated,"
         " derivation and rg searches, the presented-group closure and the"
         " abelian combination search",

@@ -21,7 +21,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .words import Word, letters_key, reduced_word, render_word, round_products
 from . import terms
@@ -91,8 +91,10 @@ class Unknown:
 
 
 class PastDeadline(Exception):
-    """Raised inside a search or closure whose deadline has passed; the
-    decider returns Unknown in its place."""
+    """Raised inside a search or closure whose deadline has passed. It is
+    the one way a decider stops for a deadline: every decider lets it
+    propagate to its caller, and ``Unknown`` names only a decider's own
+    budgets."""
 
 
 class CertificateError(ValueError):
@@ -148,7 +150,7 @@ def _check_node(
     if node.rule == "product":
         c, a, b = node.data
         if c not in conclusion:
-            raise CertificateError(path, "split element not in conclusion")
+            raise CertificateError(path, "product element not in conclusion")
         if oracle.multiply(a, b) != c:
             raise CertificateError(path, "factorization does not multiply back")
         if len(node.children) != 2:
@@ -161,7 +163,7 @@ def _check_node(
             ):
                 break
         else:
-            raise CertificateError(path, "premise sets do not match the split")
+            raise CertificateError(path, "premise sets do not match the product")
         for i, child in enumerate(node.children):
             _check_node(child, system, oracle, path + (i,))
         return
@@ -327,7 +329,7 @@ def search(
     max_depth: int = 5,
     universe_cap: int = 32,
     deadline: Optional[float] = None,
-) -> Union[DerivationTree, None, Unknown]:
+) -> Optional[DerivationTree]:
     """Iterative-deepening backward search for a derivation tree.
 
     Leaf tests come first, then a bounded product closure looking for an
@@ -340,8 +342,7 @@ def search(
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each subgoal
     checks the clock first and passes the deadline to its product closure,
-    and a search still running past it returns ``Unknown`` naming the
-    deadline.
+    and a search still running past it raises ``PastDeadline``.
     """
     start = frozenset(start)
     if not start:
@@ -427,10 +428,7 @@ def search(
         return None
 
     for depth in range(max_depth + 1):
-        try:
-            tree = prove(start, depth)
-        except PastDeadline:
-            return Unknown(budgets={"deadline": deadline})
+        tree = prove(start, depth)
         if tree is not None:
             check(tree, system, oracle)
             return tree

@@ -26,8 +26,6 @@ from typing import Iterable, NamedTuple, Optional
 from .derivation import (
     DerivationTree,
     Invalid,
-    PastDeadline,
-    Unknown,
     Valid,
     bounded_closure_with_parents,
     closure_leaf,
@@ -282,8 +280,8 @@ def decide_presented_lg(join: Iterable[Word], oracle, deadline: Optional[float] 
     is valid, certified by an identity in the bounded product closure of
     the canonical join images (radius twice the longest, at least 2), or
     else by the vanishing combination of ``decide_abelian_order_extension``.
-    A ``deadline`` binds in the closure and the combination search; past
-    it the verdict is ``Unknown`` naming the deadline.
+    A ``deadline`` binds in the closure and the combination search, which
+    raise ``PastDeadline`` past it.
     """
     if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
         raise ValueError("the presented-group decider takes klein or zn:K")
@@ -307,18 +305,15 @@ def decide_presented_lg(join: Iterable[Word], oracle, deadline: Optional[float] 
     if functional is not None:
         return Invalid({"functional": functional}, "abelian-duality")
     radius = max(2, 2 * max(oracle.length(g) for g in canonical))
-    try:
-        # the identity's parents are fixed in the round it enters
-        closed, parents = bounded_closure_with_parents(
-            canonical, radius, oracle, stop_at_identity=True, deadline=deadline
-        )
-        if oracle.identity in closed:
-            seq = product_witness(oracle.identity, canonical, parents)
-            return Valid(closure_leaf(canonical, seq), "closure")
-        # no functional: the dichotomy yields a combination
-        outcome = decide_abelian_order_extension(canonical, oracle.k, deadline)
-    except PastDeadline:
-        return Unknown(budgets={"deadline": deadline})
+    # the identity's parents are fixed in the round it enters
+    closed, parents = bounded_closure_with_parents(
+        canonical, radius, oracle, stop_at_identity=True, deadline=deadline
+    )
+    if oracle.identity in closed:
+        seq = product_witness(oracle.identity, canonical, parents)
+        return Valid(closure_leaf(canonical, seq), "closure")
+    # no functional: the dichotomy yields a combination
+    outcome = decide_abelian_order_extension(canonical, oracle.k, deadline)
     seq = [elem for elem, count in outcome.combination for _ in range(count)]
     return Valid(closure_leaf(canonical, seq), "abelian-duality")
 

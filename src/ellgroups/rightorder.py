@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .derivation import PastDeadline, Unknown, bounded_closure_with_parents
+from .derivation import PastDeadline, bounded_closure_with_parents
 from .groups import FreeGroupOracle
 from .words import (
     IDENTITY,
@@ -203,7 +203,7 @@ def _grow(
 
 def decide_valid_lg(
     join: Iterable[Word], deadline: Optional[float] = None
-) -> Union[LgValid, LgInvalid, Unknown]:
+) -> Union[LgValid, LgInvalid]:
     """Decide validity of e <= join in all lattice-ordered groups.
 
     Valid exactly when every total sign assignment on the difference
@@ -233,7 +233,7 @@ def decide_valid_lg(
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each state where
     both signs survive first checks the clock, and a search still running
-    past it returns ``Unknown`` naming the deadline.
+    past it raises ``PastDeadline``.
     """
     join = frozenset(join)
     if not join:
@@ -322,10 +322,7 @@ def decide_valid_lg(
         states += level + 1 - start
         return None
 
-    try:
-        leaf = search(0, base, list(range(m)))
-    except PastDeadline:
-        return Unknown(budgets={"deadline": deadline})
+    leaf = search(0, base, list(range(m)))
     if leaf is None:
         # every state tried both signs; all 2**m assignments are covered
         return LgValid(assignments_checked=2**m, nodes_explored=len(forced) + 2 * states)
@@ -462,7 +459,7 @@ def product_closure_in_ball(words: Iterable[Word], l: int) -> frozenset[Word]:
 
 def clay_smith(
     words: Iterable[Word], k: int, deadline: Optional[float] = None
-) -> Union[TruncatedRightOrder, None, Unknown]:
+) -> Optional[TruncatedRightOrder]:
     """Decide right-order extension in F(k) by truncated-order backtracking.
 
     With l the maximal input length, the input is closed under in-ball
@@ -479,8 +476,8 @@ def clay_smith(
     as e enters. Raises ValueError on a word with a letter outside F(k).
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each branch
-    checks the clock before it closes, and one past it returns
-    ``Unknown`` naming the deadline.
+    checks the clock before it closes, and one past it raises
+    ``PastDeadline``.
     """
     start = frozenset(words)
     for w in start:
@@ -508,7 +505,7 @@ def clay_smith(
             pending.append((cone, t))
             adjoined = interior[t]
         if deadline is not None and time.monotonic() > deadline:
-            return Unknown(budgets={"deadline": deadline})
+            raise PastDeadline
         cone = _close(l, cone, (adjoined,))
 
 

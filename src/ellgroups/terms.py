@@ -213,16 +213,24 @@ def parse_statement(text: str, rank: int) -> Statement:
 
 
 def group_word(t: Term) -> Word:
-    """Interpret a lattice-free term as a reduced word."""
+    """Interpret a lattice-free term as a reduced word. The left-nested
+    chain of a flat product is walked in a loop, so that only right
+    operands (parenthesized products) and inverses recurse."""
+    rights = []
+    while isinstance(t, Prod):
+        rights.append(t.right)
+        t = t.left
     if isinstance(t, Identity):
-        return IDENTITY
-    if isinstance(t, Var):
-        return Word((t.index,))
-    if isinstance(t, Inv):
-        return group_word(t.arg).inverse()
-    if isinstance(t, Prod):
-        return group_word(t.left) * group_word(t.right)
-    raise ValueError(f"not a group term: {render(t)}")
+        w = IDENTITY
+    elif isinstance(t, Var):
+        w = Word((t.index,))
+    elif isinstance(t, Inv):
+        w = group_word(t.arg).inverse()
+    else:
+        raise ValueError(f"not a group term: {render(t)}")
+    for right in reversed(rights):
+        w = w * group_word(right)
+    return w
 
 
 def parse_group_word(text: str, rank: int) -> Word:

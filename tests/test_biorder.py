@@ -189,14 +189,15 @@ class TestDecideValidRg:
         assert isinstance(verdict, Unknown)
         assert verdict.budgets["orders_tried"] == 0
 
-    def test_past_deadline_gives_unknown(self):
+    def test_past_deadline_raises(self):
         deadline = time.monotonic() - 1
-        expected = Unknown(budgets={"deadline": deadline})
         # in the order loop, before the first order, which refutes {x, y}
-        assert decide_valid_rg({W("x"), W("y")}, 2, RgBudgets(), deadline) == expected
+        with pytest.raises(PastDeadline):
+            decide_valid_rg({W("x"), W("y")}, 2, RgBudgets(), deadline)
         # in the search, with no order to try
         join = {W("x"), W("y*x^-1*y^-1")}
-        assert decide_valid_rg(join, 2, RgBudgets(max_orders=0), deadline) == expected
+        with pytest.raises(PastDeadline):
+            decide_valid_rg(join, 2, RgBudgets(max_orders=0), deadline)
         far = time.monotonic() + 3600
         assert decide_valid_rg(join, 2, RgBudgets(), far) == decide_valid_rg(join, 2)
         spent = decide_valid_rg(join, 2, RgBudgets(search_depth=0, max_orders=0))

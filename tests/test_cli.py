@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from ellgroups.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_PARSE,
+    METHODS,
     main,
 )
 from ellgroups.words import render_word, word
@@ -391,6 +393,20 @@ class TestRefusedInput:
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 200}]
         assert elapsed < 2
 
+    def test_budget_binds_inside_rg(self):
+        # the bi-order derivation search of this join runs for minutes
+        started = time.monotonic()
+        proc = run_limited(
+            "decide", "--variety", "rg", "--budget-ms", "300",
+            r"e <= y \/ x*y \/ x^-1*y^-1*x^-1", seconds=30,
+        )
+        elapsed = time.monotonic() - started
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "unknown"
+        assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 300}]
+        assert elapsed < 2
+
     def test_closed_pipe_ends_quietly(self):
         # a 369 KB document, of which the reader takes 100 bytes
         proc = subprocess.Popen(
@@ -532,6 +548,26 @@ class TestExtendRight:
     def test_parse_error(self, capsys):
         assert main(["extend-right", "{x*x"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv, verdict",
+        [
+            (("--group", "zn:2", "{}"), "extendable"),
+            # 1,501 factors whose product is y
+            (("{" + "*".join(["x", "x^-1"] * 750 + ["y"]) + "}",), "extendable"),
+            (("{" + "*".join(["x"] * 750 + ["x^-1"] * 750) + "}",), "not-extendable"),
+        ],
+    )
+    def test_edge_sets_are_decided(self, argv, verdict):
+        proc = run_limited("extend-right", *argv, seconds=30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == verdict
+
+    def test_nesting_depth(self):
+        proc = run_limited("extend-right", "{" + "(" * 1200 + "x" + ")" * 1200 + "}")
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: word set nested too deeply\n"
+
 
 class TestCertificateCheck:
     def test_round_trip_from_decide(self, capsys, tmp_path):
@@ -611,6 +647,27 @@ class TestCertificateCheck:
                 assert "nested too deeply" in captured.err
             else:
                 assert json.loads(captured.out)["accepted"] is True
+
+    @pytest.mark.parametrize(
+        "conclusion, premise, reason",
+        [
+            (["x"], ["x"], "product element not in conclusion"),
+            (["x*x"], ["x", "x^-1"], "premise sets do not match the product"),
+        ],
+    )
+    def test_product_rule_errors_name_the_rule(
+        self, capsys, monkeypatch, conclusion, premise, reason
+    ):
+        # a product node splitting x*x as x * x
+        leaf = {"conclusion": premise, "rule": "leaf", "data": {"element": "x"},
+                "children": []}
+        cert = {"system": "S", "conclusion": conclusion, "rule": "product",
+                "data": {"element": "x*x", "left": "x", "right": "x"},
+                "children": [leaf, leaf]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+        code, out = run_json(capsys, "certificate", "check", "--group", "free:1", "-")
+        assert code == EXIT_FAIL
+        assert out == {"accepted": False, "reason": "root: " + reason}
 
     @pytest.mark.parametrize("text", ["[]", "null", '{"system": 3}'])
     def test_malformed_document(self, capsys, tmp_path, text):
@@ -698,6 +755,37 @@ class TestOptions:
             main(list(argv))
         assert exc.value.code == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decide", "--max-depth", "-1", "e <= x"),
+            ("decide", "--universe-cap", "-3", "e <= x"),
+            ("decide", "--budget-ms", "-5", "e <= x"),
+            ("decide", "--max-term-nodes", "-1", "e <= x"),
+            ("corpus", "--max-depth", "-1", str(CORPUS)),
+            ("corpus", "--universe-cap", "-3", str(CORPUS)),
+            ("corpus", "--max-term-nodes", "-1", str(CORPUS)),
+        ],
+    )
+    def test_negative_counts_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an integer of at least 0" in captured.err
+
+    def test_readme_lists_the_method_table(self):
+        # README's `variety | group | methods` table is cli.METHODS
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if line.startswith("|") and cells[0] in ("lg", "rg", "abelian"):
+                variety, group, methods = cells
+                rows[variety, group.split(":")[0]] = tuple(methods.split(", "))
+        assert rows == {key: tuple(methods) for key, methods in METHODS.items()}
 
 
 class TestEntryPoint:

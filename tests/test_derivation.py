@@ -12,7 +12,6 @@ from ellgroups.derivation import (
     DerivationTree,
     PastDeadline,
     RuleSystem,
-    Unknown,
     bounded_closure_with_parents,
     check,
     closure_leaf,
@@ -243,11 +242,11 @@ class TestSearch:
         # a set whose depth-4 search over 100 factors runs for seconds
         S = {W("x*y"), W("y*x^-1"), W("x^-1*y^-1*x")}
         deadline = time.monotonic() + 0.2
-        tree = search(
-            S, RuleSystem.RIGHT_ORDER, F2, max_depth=4, universe_cap=100,
-            deadline=deadline,
-        )
-        assert tree == Unknown(budgets={"deadline": deadline})
+        with pytest.raises(PastDeadline):
+            search(
+                S, RuleSystem.RIGHT_ORDER, F2, max_depth=4, universe_cap=100,
+                deadline=deadline,
+            )
         assert time.monotonic() < deadline + 5
 
     def test_deadline_leaves_results_unchanged(self):
@@ -397,15 +396,15 @@ class TestClosureDeadline:
             with pytest.raises(PastDeadline):
                 bounded_closure_with_parents(S, 4, oracle, deadline=spent)
 
-    def test_spent_deadline_makes_the_closure_certificate_unknown(self):
+    def test_spent_deadline_stops_the_closure_certificate(self):
         # x + (y - x) - y = 0: no functional refutes the join, and its
         # closure certificate is where the decider would find e
         Z2 = IntLatticeOracle(2)
         join = {W("x"), W("x^-1*y"), W("y^-1")}
         assert decide_presented_lg(join, Z2).method == "closure"
         spent = time.monotonic() - 1
-        verdict = decide_presented_lg(join, Z2, deadline=spent)
-        assert verdict == Unknown(budgets={"deadline": spent})
+        with pytest.raises(PastDeadline):
+            decide_presented_lg(join, Z2, deadline=spent)
 
     def test_search_passes_its_deadline_to_its_closures(self, monkeypatch):
         seen = []

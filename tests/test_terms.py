@@ -80,6 +80,12 @@ class TestParse:
         assert parse_word_set("{}", 2) == frozenset()
         assert parse_word_set("{e}", 2) == {IDENTITY}
 
+    def test_long_flat_product(self):
+        # the left-nested chain of 3,000 factors is read in a loop
+        text = "*".join(["x"] * 1500 + ["y^-1", "y"] * 750)
+        assert parse_word_set("{" + text + "}", 2) == {Word((1,) * 1500)}
+        assert parse_group_word(text, 2) == Word((1,) * 1500)
+
     def test_word_set_rejects_lattice_ops(self):
         with pytest.raises(ParseError):
             parse_word_set(r"{x \/ y}", 2)
