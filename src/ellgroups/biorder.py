@@ -46,7 +46,6 @@ __all__ = [
     "magnus_expand",
     "series_multiply",
     "magnus_sign",
-    "RgBudgets",
     "decide_valid_rg",
     "ExtendsToOrder",
     "DoesNotExtend",
@@ -118,25 +117,16 @@ def magnus_sign(w: Word, order: MagnusOrder, degree: int) -> Optional[int]:
     return 1 if series[lead] > 0 else -1
 
 
-@dataclass(frozen=True)
-class RgBudgets:
-    search_depth: int = 4
-    universe_cap: int = 32
-    max_orders: Optional[int] = None  # cap on (signs, precedence) pairs; None = all
-
-
 _DEGREE_GROWTH = 4  # cap multiplier for the truncation degree
 
 
 def _uniform_sign_order(
-    join: frozenset[Word], k: int, budgets: RgBudgets, deadline: Optional[float]
+    join: frozenset[Word], k: int, deadline: Optional[float]
 ) -> tuple[Optional[tuple[MagnusOrder, int]], int]:
     base_degree = max(1, max(len(w) for w in join))
     tried = 0
     words = sorted(join)
     for eps in itertools.product((1, -1), repeat=k):
-        if budgets.max_orders is not None and tried >= budgets.max_orders:
-            return None, tried
         # the series depends on the signs only, not on the precedence
         cached: list[Series] = []
         for w in words:
@@ -149,8 +139,6 @@ def _uniform_sign_order(
                 series.pop((), None)
             cached.append(series)
         for perm in itertools.permutations(range(1, k + 1)):
-            if budgets.max_orders is not None and tried >= budgets.max_orders:
-                return None, tried
             if deadline is not None and time.monotonic() > deadline:
                 raise derivation.PastDeadline
             tried += 1
@@ -172,15 +160,18 @@ def _uniform_sign_order(
 def decide_valid_rg(
     join: Iterable[Word],
     k: int,
-    budgets: RgBudgets = RgBudgets(),
+    *,
+    max_depth: int = 4,
+    universe_cap: int = 32,
     deadline: Optional[float] = None,
 ) -> Union[Valid, Invalid, Unknown]:
     """Semidecide e <= join in all o-groups over F(k).
 
     A uniform strict Magnus sign across the join set exhibits an order
     (or its dual) whose positive cone contains the set, refuting the
-    inequation; a bi-order derivation tree certifies it. Budgets
-    exhausted on both sides yield Unknown naming them. Past a ``deadline``
+    inequation; a bi-order derivation tree, searched to ``max_depth`` over
+    at most ``universe_cap`` factors, certifies it. Budgets exhausted on
+    both sides yield Unknown naming them. Past a ``deadline``
     (a ``time.monotonic()`` instant), the order loop or the search raises
     ``derivation.PastDeadline``.
     """
@@ -190,7 +181,7 @@ def decide_valid_rg(
     if IDENTITY in join:
         return Valid(leaf(join, IDENTITY), "identity")
 
-    witness, orders_tried = _uniform_sign_order(join, k, budgets, deadline)
+    witness, orders_tried = _uniform_sign_order(join, k, deadline)
     if witness is not None:
         order, sign = witness
         return Invalid(
@@ -202,13 +193,13 @@ def decide_valid_rg(
             method="magnus-order",
         )
 
-    if budgets.search_depth > 0:
+    if max_depth > 0:
         tree = derivation.search(
             join,
             RuleSystem.BI_ORDER,
             FreeGroupOracle(k),
-            max_depth=budgets.search_depth,
-            universe_cap=budgets.universe_cap,
+            max_depth=max_depth,
+            universe_cap=universe_cap,
             deadline=deadline,
         )
         if tree is not None:
@@ -216,8 +207,8 @@ def decide_valid_rg(
 
     return Unknown(
         budgets={
-            "search_depth": budgets.search_depth,
-            "universe_cap": budgets.universe_cap,
+            "search_depth": max_depth,
+            "universe_cap": universe_cap,
             "orders_tried": orders_tried,
             "degree_growth": _DEGREE_GROWTH,
         }

@@ -1,11 +1,18 @@
-"""Command-line surface: decide statements, extend word sets to truncated
-right orders, re-check certificates, and run regression corpora.
+"""Command-line surface: decide statements, extend word sets to right
+orders, re-check certificates, and run regression corpora.
+
+Every verb decides a join set through one table, METHODS. A word set S
+extends to a right order's positive cone exactly when e is not below the
+join of S, so extend-right runs a fixed decider of that table on S as
+one join and reports its witness (extendable) or certificate
+(not-extendable).
 
 Exit codes: 0 for any decided or unknown result, 1 for a failed corpus
 line or rejected certificate, or for output whose reader closed the pipe
 before it was written, 2 for parse errors and refused input (a bad group
 selector or rank, a negative bound or budget, a statement too large or
-nested too deeply, a word set nested too deeply), 3 for
+nested too deeply, a word set nested too deeply, a certificate or corpus
+file that cannot be read as UTF-8 text), 3 for
 budget-exceeded under --strict, 4 for an invalid method/group combination,
 which is reported before the statement is parsed.
 """
@@ -94,10 +101,6 @@ def _sign_witness_json(verdict: LgInvalid, k: int) -> dict:
     }
 
 
-def _truncated_json(order: rightorder.TruncatedRightOrder) -> dict:
-    return {"l": order.l, "positives": _word_list(order.positives)}
-
-
 def _cis(join, oracle, args, deadline) -> dict:
     verdict = rightorder.decide_valid_lg(join, deadline)
     out = {
@@ -112,10 +115,11 @@ def _cis(join, oracle, args, deadline) -> dict:
 
 
 def _truncated(join, oracle, args, deadline) -> dict:
-    witness = rightorder.clay_smith(join, oracle.k, deadline)
-    if witness is None:
+    order = rightorder.clay_smith(join, oracle.k, deadline)
+    if order is None:
         return {"verdict": "valid"}
-    return {"verdict": "invalid", "witness": _truncated_json(witness)}
+    witness = {"l": order.l, "positives": _word_list(order.positives)}
+    return {"verdict": "invalid", "witness": witness}
 
 
 def _derivation(join, oracle, args, deadline) -> dict:
@@ -139,10 +143,10 @@ def _presented(join, oracle, args, deadline) -> dict:
 
 
 def _rg(join, oracle, args, deadline) -> dict:
-    budgets = biorder.RgBudgets(
-        search_depth=args.max_depth, universe_cap=args.universe_cap
+    verdict = biorder.decide_valid_rg(
+        join, oracle.k,
+        max_depth=args.max_depth, universe_cap=args.universe_cap, deadline=deadline,
     )
-    verdict = biorder.decide_valid_rg(join, oracle.k, budgets, deadline)
     return _verdict_json(verdict, oracle, derivation.RuleSystem.BI_ORDER)
 
 
@@ -150,12 +154,19 @@ def _abelian(join, oracle, args, deadline) -> dict:
     points = frozenset(oracle.canonicalize(w) for w in join)
     if oracle.identity in points:
         return {"verdict": "valid", "method": "identity"}
-    outcome = biorder.decide_abelian_order_extension(points, oracle.k, deadline)
-    extends = isinstance(outcome, biorder.ExtendsToOrder)
+    if not points:
+        # every order holds the empty set; this one has x1 positive
+        outcome = biorder.ExtendsToOrder((1,) + (0,) * (oracle.k - 1))
+    else:
+        outcome = biorder.decide_abelian_order_extension(points, oracle.k, deadline)
+    if isinstance(outcome, biorder.ExtendsToOrder):
+        witness = {"functional": list(outcome.functional)}
+        return {"verdict": "invalid", "method": "abelian-duality", "witness": witness}
+    combination = [{"vector": list(v), "count": c} for v, c in outcome.combination]
     return {
-        "verdict": "invalid" if extends else "valid",
+        "verdict": "valid",
         "method": "abelian-duality",
-        "witness" if extends else "certificate": _abelian_witness(outcome),
+        "certificate": {"combination": combination},
     }
 
 
@@ -172,15 +183,6 @@ def _verdict_json(verdict, oracle, system: derivation.RuleSystem) -> dict:
         witness = verdict.witness
         return {"verdict": "invalid", "method": verdict.method, "witness": witness}
     return {"verdict": "unknown", "budgets": dict(verdict.budgets)}
-
-
-def _abelian_witness(outcome) -> dict:
-    """An abelian decider's functional or vanishing combination as JSON."""
-    if isinstance(outcome, biorder.ExtendsToOrder):
-        return {"functional": list(outcome.functional)}
-    return {
-        "combination": [{"vector": list(v), "count": c} for v, c in outcome.combination]
-    }
 
 
 def _oracle(selector: str):
@@ -233,6 +235,17 @@ METHODS = {
 }
 
 
+# the variety and method whose decider answers extend-right over each kind
+# of group: a word set S extends to a right order's positive cone exactly
+# when e <= \/S is invalid, so an invalid entry's witness is the cone and
+# a valid entry's certificate shows that no right order holds S
+EXTEND_RIGHT = {
+    "free": ("lg", "truncated"),
+    "klein": ("lg", "auto"),
+    "zn": ("abelian", "auto"),
+}
+
+
 def _check_method(variety: str, oracle, method: str):
     """The decider of the method for the variety over the oracle's group;
     raises BadCombination if there is none."""
@@ -248,8 +261,9 @@ def _check_method(variety: str, oracle, method: str):
 
 def _decide_statement(args, deadline) -> tuple:
     """The oracle and the entries of args.statement's join sets, decided
-    up to the first invalid one; a join set reached or still undecided
-    past the deadline is unknown. Raises BadCombination before the
+    up to the first invalid one. Past the deadline, the join set reached
+    or still undecided ends the list as unknown, counting itself and the
+    join sets after it as undecided. Raises BadCombination before the
     statement is parsed, then terms.ParseError or Refused."""
     selector = args.group
     if selector is None:
@@ -257,17 +271,22 @@ def _decide_statement(args, deadline) -> tuple:
         selector = f"zn:{k}" if args.variety == "abelian" else f"free:{k}"
     oracle = _oracle(selector)
     decide = _check_method(args.variety, oracle, args.method)
+    joins = _statement_joinsets(args.statement, oracle.k, args.max_term_nodes)
     results = []
-    for join in _statement_joinsets(args.statement, oracle.k, args.max_term_nodes):
+    for i, join in enumerate(joins):
         try:
             if deadline is not None and time.monotonic() > deadline:
                 raise derivation.PastDeadline
             entry = decide(join, oracle, args, deadline)
         except derivation.PastDeadline:
-            entry = {"verdict": "unknown", "budgets": {"budget_ms": args.budget_ms}}
+            entry = {
+                "verdict": "unknown",
+                "budgets": {"budget_ms": args.budget_ms},
+                "undecided": len(joins) - i,
+            }
         entry["join"] = _word_list(join)
         results.append(entry)
-        if entry["verdict"] == "invalid":
+        if entry["verdict"] == "invalid" or "undecided" in entry:
             break
     return oracle, results
 
@@ -342,38 +361,16 @@ def run_extend_right(args) -> int:
     except Refused as exc:
         return _refused(exc)
 
+    variety, method = EXTEND_RIGHT[oracle.name.split(":")[0]]
+    entry = _check_method(variety, oracle, method)(word_set, oracle, args, None)
     doc: dict = {"group": oracle.name}
-    if isinstance(oracle, groups.FreeGroupOracle):
-        witness = rightorder.clay_smith(word_set, oracle.k)
-        if witness is None:
-            doc["verdict"] = "not-extendable"
-        else:
-            doc["verdict"] = "extendable"
-            doc["witness"] = _truncated_json(witness)
-    elif isinstance(oracle, groups.KleinBottleOracle):
-        canonical = frozenset(oracle.canonicalize(w) for w in word_set)
-        variant = groups._klein_cone_containing(canonical)
-        if variant is None:
-            doc["verdict"] = "not-extendable"
-        else:
-            doc["verdict"] = "extendable"
-            doc["witness"] = {
-                "variant": variant,
-                "epsilon": list(groups.KLEIN_ORDER_VARIANTS[variant - 1]),
-            }
+    if entry["verdict"] == "invalid":
+        doc["verdict"] = "extendable"
+        doc["witness"] = entry["witness"]
     else:
-        points = frozenset(oracle.canonicalize(w) for w in word_set)
-        if oracle.identity in points:
-            doc["verdict"] = "not-extendable"
-        elif not points:
-            # every order holds the empty set; this one has x1 positive
-            doc["verdict"] = "extendable"
-            doc["witness"] = {"functional": [1] + [0] * (oracle.k - 1)}
-        else:
-            outcome = biorder.decide_abelian_order_extension(points, oracle.k)
-            extends = isinstance(outcome, biorder.ExtendsToOrder)
-            doc["verdict"] = "extendable" if extends else "not-extendable"
-            doc["witness"] = _abelian_witness(outcome)
+        doc["verdict"] = "not-extendable"
+        if "certificate" in entry:
+            doc["certificate"] = entry["certificate"]
     doc["stats"] = {"millis": int((time.monotonic() - started) * 1000)}
     _emit(doc)
     return EXIT_OK
@@ -385,16 +382,24 @@ def _too_deep() -> int:
     return EXIT_PARSE
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; raises Refused for a file that cannot be
+    read or is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise Refused(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise Refused(f"{path}: not UTF-8 text, byte {exc.start}") from None
+
+
 def run_certificate_check(args) -> int:
     try:
         oracle = _oracle(args.group)
+        text = sys.stdin.read() if args.path == "-" else _read_text(args.path)
     except Refused as exc:
         return _refused(exc)
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
         doc = json.loads(text)
         tree, system = derivation.tree_from_json(doc, oracle)
@@ -429,11 +434,9 @@ def _corpus_expected_ok(expected: str, verdict: str) -> bool:
 
 def run_corpus(args) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        lines = _read_text(args.path).split("\n")
+    except Refused as exc:
+        return _refused(exc)
 
     failures = 0
     total = 0

@@ -281,13 +281,12 @@ def decide_presented_lg(join: Iterable[Word], oracle, deadline: Optional[float] 
     the canonical join images (radius twice the longest, at least 2), or
     else by the vanishing combination of ``decide_abelian_order_extension``.
     A ``deadline`` binds in the closure and the combination search, which
-    raise ``PastDeadline`` past it.
+    raise ``PastDeadline`` past it. An empty join, which every right order
+    holds, is invalid over the Klein bottle group, in order 1; over Z^k,
+    ``positive_functional`` refuses it with a ValueError.
     """
     if not isinstance(oracle, (KleinBottleOracle, IntLatticeOracle)):
         raise ValueError("the presented-group decider takes klein or zn:K")
-    join = frozenset(join)
-    if not join:
-        raise ValueError("empty join set")
     canonical = frozenset(oracle.canonicalize(w) for w in join)
 
     if oracle.identity in canonical:

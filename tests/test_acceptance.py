@@ -12,7 +12,6 @@ from fractions import Fraction
 from ellgroups.biorder import (
     DoesNotExtend,
     ExtendsToOrder,
-    RgBudgets,
     decide_abelian_order_extension,
     decide_klein_biorderable,
     decide_valid_rg,
@@ -253,10 +252,9 @@ def test_criterion_5_quasi_equation_properties():
 
 def test_criterion_6_rg_refines_lg():
     family = family_ball22()
-    budgets = RgBudgets(search_depth=2, universe_cap=24)
     for S in family:
         if isinstance(decide_valid_lg(S), LgValid):
-            rg = decide_valid_rg(S, 2, budgets)
+            rg = decide_valid_rg(S, 2, max_depth=2, universe_cap=24)
             assert not isinstance(rg, Invalid), sorted(map(str, S))
 
     # the separation pair: invalid for all lattice-ordered groups,
@@ -325,14 +323,13 @@ def test_criterion_8_bifurcation():
 def test_criterion_9_honest_incompleteness():
     # a conjugate-pair input that richer budgets certify as valid
     stress = words("x, y*x^-1*y^-1")
-    verdict = decide_valid_rg(stress, 2, RgBudgets(search_depth=0, max_orders=0))
+    verdict = decide_valid_rg(stress, 2, max_depth=0)
     assert isinstance(verdict, Unknown)
-    assert verdict.budgets["orders_tried"] == 0
+    assert verdict.budgets["orders_tried"] == 8  # every one of 2^2 * 2!
     assert verdict.budgets["search_depth"] == 0
 
-    # a valid square-sum input is also honestly unknown at zero budgets
-    verdict = decide_valid_rg(
-        words("x*x, y*y, x^-1*y^-1"), 2, RgBudgets(search_depth=0, max_orders=0)
-    )
+    # a valid square-sum input is also honestly unknown with no search
+    verdict = decide_valid_rg(words("x*x, y*y, x^-1*y^-1"), 2, max_depth=0)
     assert isinstance(verdict, Unknown)
+    assert verdict.budgets["orders_tried"] == 8
     report(9, "budget exhaustion surfaces as unknown")

@@ -14,7 +14,6 @@ from ellgroups.biorder import (
     DoesNotExtend,
     ExtendsToOrder,
     MagnusOrder,
-    RgBudgets,
     decide_abelian_order_extension,
     decide_klein_biorderable,
     decide_valid_rg,
@@ -184,24 +183,27 @@ class TestDecideValidRg:
         assert isinstance(verdict, Valid)
 
     def test_minimum_budgets_give_unknown(self):
-        budgets = RgBudgets(search_depth=0, max_orders=0)
-        verdict = decide_valid_rg({W("x"), W("y*x^-1*y^-1")}, 2, budgets)
+        # an rg-valid join: every one of the 2^2 * 2! orders is tried
+        verdict = decide_valid_rg({W("x"), W("y*x^-1*y^-1")}, 2, max_depth=0)
         assert isinstance(verdict, Unknown)
-        assert verdict.budgets["orders_tried"] == 0
+        assert verdict.budgets["orders_tried"] == 8
 
-    def test_past_deadline_raises(self):
+    def test_past_deadline_raises(self, monkeypatch):
         deadline = time.monotonic() - 1
         # in the order loop, before the first order, which refutes {x, y}
         with pytest.raises(PastDeadline):
-            decide_valid_rg({W("x"), W("y")}, 2, RgBudgets(), deadline)
-        # in the search, with no order to try
+            decide_valid_rg({W("x"), W("y")}, 2, deadline=deadline)
         join = {W("x"), W("y*x^-1*y^-1")}
-        with pytest.raises(PastDeadline):
-            decide_valid_rg(join, 2, RgBudgets(max_orders=0), deadline)
         far = time.monotonic() + 3600
-        assert decide_valid_rg(join, 2, RgBudgets(), far) == decide_valid_rg(join, 2)
-        spent = decide_valid_rg(join, 2, RgBudgets(search_depth=0, max_orders=0))
+        assert decide_valid_rg(join, 2, deadline=far) == decide_valid_rg(join, 2)
+        spent = decide_valid_rg(join, 2, max_depth=0)
         assert spent.budgets["degree_growth"] == 4
+        # in the search, with an order loop that finds no order
+        monkeypatch.setattr(
+            "ellgroups.biorder._uniform_sign_order", lambda join, k, deadline: (None, 0)
+        )
+        with pytest.raises(PastDeadline):
+            decide_valid_rg(join, 2, deadline=deadline)
 
     def test_refines_lg_on_sample(self):
         elems = sorted(w for w in ball(2, 2) if w != IDENTITY)
@@ -211,10 +213,9 @@ class TestDecideValidRg:
             for r in (1, 2, 3)
             for c in itertools.combinations(elems, r)
         ]
-        budgets = RgBudgets(search_depth=2, universe_cap=24)
         for S in rng.sample(family, 60):
             lg_valid = isinstance(decide_valid_lg(S), LgValid)
-            rg = decide_valid_rg(S, 2, budgets)
+            rg = decide_valid_rg(S, 2, max_depth=2, universe_cap=24)
             if lg_valid:
                 assert not isinstance(rg, Invalid), sorted(map(str, S))
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from ellgroups.cli import (
     METHODS,
     main,
 )
+from ellgroups.groups import IntLatticeOracle
 from ellgroups.words import render_word, word
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "worked_examples.corpus"
@@ -267,8 +269,11 @@ class TestDecide:
         )
 
     def test_more_outputs_pinned(self, capsys):
-        # recorded before `decide` and `corpus` shared one decide path;
-        # the corpus prints text, every other run one JSON document
+        # recorded when extend-right went through the decide deciders, so
+        # that a not-extendable run over klein or zn:2 prints the decider's
+        # certificate; the other 91 runs are unchanged since `decide` and
+        # `corpus` shared one decide path. The corpus prints text, every
+        # other run one JSON document
         lines = []
         for argv in more_pinned_runs():
             code, out = run(capsys, *argv)
@@ -278,7 +283,7 @@ class TestDecide:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert len(lines) == 100
         assert digest == (
-            "dcfb4bb4121e8271371d0222ed9ec6febdb0fa780e2e3f82f3a6804f761c4c4a"
+            "d13a2329be681c5062abb00a3b90c36de54c7b086b8d51ddff41734e34931ea8"
         )
 
     def test_count_past_decimal_limit(self):
@@ -408,10 +413,11 @@ class TestRefusedInput:
         assert elapsed < 2
 
     def test_closed_pipe_ends_quietly(self):
-        # a 369 KB document, of which the reader takes 100 bytes
+        # a 262 KB document, one entry for each of 4,096 join sets that
+        # hold e, of which the reader takes 100 bytes
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ellgroups", "decide", "--budget-ms", "0",
-             "e <= " + "*".join([r"(x/\y)"] * 12)],
+            [sys.executable, "-m", "ellgroups", "decide",
+             "e <= " + "*".join([r"(x/\y)"] * 12) + r" \/ e"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -425,6 +431,29 @@ class TestRefusedInput:
             proc.stderr.close()
         assert "Traceback" not in err
         assert code == EXIT_FAIL
+
+    def test_spent_budget_prints_one_entry(self, capsys):
+        # 4,096 join sets, each a single word, none reached in time
+        statement = "e <= " + "*".join([r"(x/\y)"] * 12)
+        code, out = run(capsys, "decide", "--budget-ms", "0", statement)
+        assert code == EXIT_OK
+        assert len(out) < 1000
+        (entry,) = json.loads(out)["certificate"]
+        assert entry == {
+            "verdict": "unknown", "budgets": {"budget_ms": 0}, "undecided": 4096,
+            "join": ["x*x*x*x*x*x*x*x*x*x*x*x"],
+        }
+
+    def test_own_unknown_goes_on(self, capsys):
+        # rg with no derivation search leaves the first join set unknown,
+        # and the second, which a Magnus order refutes, is still decided
+        code, doc = run_json(
+            capsys, "decide", "--variety", "rg", "--max-depth", "0",
+            r"e <= (x*x \/ y*y \/ x^-1*y^-1) /\ (x \/ y)",
+        )
+        assert code == EXIT_OK
+        assert doc["verdict"] == "invalid"
+        assert doc["join"] == ["x", "y"]
 
     @pytest.mark.parametrize("depth", [100, 200, 3000])
     def test_nesting_depth(self, depth):
@@ -532,11 +561,15 @@ class TestExtendRight:
         code, doc = run_json(capsys, "extend-right", "--group", "klein", "{x}")
         assert code == EXIT_OK
         assert doc["verdict"] == "extendable"
-        assert doc["witness"]["variant"] == 1
+        assert doc["witness"] == {"variant": 1, "epsilon": [1, 1]}
         code, doc = run_json(
             capsys, "extend-right", "--group", "klein", "{y^-1*x^-1, x}"
         )
         assert doc["verdict"] == "not-extendable"
+        assert "witness" not in doc
+        assert doc["certificate"]["system"] == "S"
+        assert doc["certificate"]["rule"] == "split"
+        assert doc["certificate"]["conclusion"] == ["x", "x^-1*y"]
 
     def test_lattice_group(self, capsys):
         code, doc = run_json(
@@ -544,6 +577,19 @@ class TestExtendRight:
         )
         assert code == EXIT_OK
         assert doc["verdict"] == "extendable"
+        assert doc["witness"] == {"functional": [2, 3]}
+        code, doc = run_json(
+            capsys, "extend-right", "--group", "zn:2", "{x, y, x^-1*y^-1}"
+        )
+        assert doc["verdict"] == "not-extendable"
+        assert "witness" not in doc
+        assert doc["certificate"] == {
+            "combination": [
+                {"vector": [-1, -1], "count": 1},
+                {"vector": [0, 1], "count": 1},
+                {"vector": [1, 0], "count": 1},
+            ]
+        }
 
     def test_parse_error(self, capsys):
         assert main(["extend-right", "{x*x"]) == EXIT_PARSE
@@ -567,6 +613,91 @@ class TestExtendRight:
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
         assert proc.stderr == "error: word set nested too deeply\n"
+
+
+def extend_right_cases():
+    """Seeded sets of 1-3 words of the radius-2 ball of F(2): over free:2
+    without e, over klein and zn:2 with e among the words drawn from."""
+    rng = random.Random(29)
+    ball = sorted(
+        {word(p) for n in (0, 1, 2) for p in itertools.product((1, -1, 2, -2), repeat=n)}
+    )
+    punctured = [w for w in ball if w != word(())]
+    for group in ("free:2", "klein", "zn:2"):
+        for _ in range(40):
+            words = punctured if group == "free:2" else ball
+            yield group, rng.sample(words, rng.randint(1, 3))
+
+
+class TestExtendRightIsDecideNegated:
+    # a word set S extends to a right order's positive cone exactly when
+    # e <= \/S is invalid; extend-right decides it in one variety and by
+    # one method over each kind of group
+    DECIDE = {
+        "free:2": ("lg", "truncated"),
+        "klein": ("lg", "auto"),
+        "zn:2": ("abelian", "auto"),
+    }
+
+    def test_verdicts_and_artifacts_agree(self, capsys, monkeypatch):
+        seen = set()
+        for group, words in extend_right_cases():
+            variety, method = self.DECIDE[group]
+            texts = [render_word(w) for w in words]
+            _, ext = run_json(
+                capsys, "extend-right", "--group", group, "{" + ", ".join(texts) + "}"
+            )
+            _, dec = run_json(
+                capsys, "decide", "--variety", variety, "--group", group,
+                "--method", method, "e <= " + r" \/ ".join(f"({t})" for t in texts),
+            )
+            certificate = ext.get("certificate")
+            # a tree names its rule; a zn:2 certificate is a combination
+            kind = certificate and certificate.get("rule", "combination")
+            seen.add((group, ext["verdict"], kind))
+            assert (ext["verdict"] == "extendable") == (dec["verdict"] == "invalid")
+            if dec["verdict"] == "invalid":
+                assert ext["witness"] == dec["witness"], texts
+                continue
+            (entry,) = dec["certificate"]
+            assert certificate == entry.get("certificate"), texts
+            if group == "klein":
+                monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(certificate)))
+                checked = run_json(capsys, "certificate", "check", "--group", "klein", "-")
+                assert checked == (EXIT_OK, {"accepted": True, "system": "S"}), texts
+            elif group == "zn:2" and certificate is not None:
+                combination = certificate["combination"]
+                images = {IntLatticeOracle(2).canonicalize(w) for w in words}
+                assert all(c["count"] > 0 for c in combination)
+                assert {tuple(c["vector"]) for c in combination} <= images
+                for i in range(2):
+                    assert sum(c["vector"][i] * c["count"] for c in combination) == 0
+        # e among the words makes the join valid by the identity rule
+        assert seen == {
+            ("free:2", "extendable", None),
+            ("free:2", "not-extendable", None),
+            ("klein", "extendable", None),
+            ("klein", "not-extendable", "leaf"),
+            ("klein", "not-extendable", "split"),
+            ("zn:2", "extendable", None),
+            ("zn:2", "not-extendable", None),
+            ("zn:2", "not-extendable", "combination"),
+        }
+
+    @pytest.mark.parametrize(
+        "group, witness",
+        [
+            ("free:2", {"l": 1, "positives": []}),
+            ("klein", {"variant": 1, "epsilon": [1, 1]}),
+            ("zn:2", {"functional": [1, 0]}),
+        ],
+    )
+    def test_empty_set(self, capsys, group, witness):
+        code, doc = run_json(capsys, "extend-right", "--group", group, "{}")
+        assert code == EXIT_OK
+        assert strip_millis(doc) == {
+            "group": group, "verdict": "extendable", "witness": witness, "stats": {}
+        }
 
 
 class TestCertificateCheck:
@@ -678,6 +809,35 @@ class TestCertificateCheck:
         )
         assert code == EXIT_PARSE
         assert out == ""
+
+
+class TestFileInput:
+    # a file that cannot be read as UTF-8 text is refused, exit 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certificate", "check", "--group", "free:2"),
+            ("corpus",),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("missing", "No such file or directory"),
+            ("directory", "Is a directory"),
+            ("latin1.txt", "not UTF-8 text, byte 8"),
+        ],
+    )
+    def test_unreadable_file(self, capsys, tmp_path, argv, name, reason):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"lg;e <= \xe9;valid\n")
+        path = tmp_path / name
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert reason in captured.err
 
 
 class TestCorpus:
