@@ -22,11 +22,12 @@ force.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import derivation
 from .derivation import (
@@ -101,9 +102,12 @@ class MagnusOrder:
     epsilon: tuple[int, ...]
     precedence: tuple[int, ...]
 
-    def monomial_key(self, m: tuple[int, ...]) -> tuple:
-        rank = {g: i for i, g in enumerate(self.precedence)}
-        return (len(m), tuple(rank[g] for g in m))
+    @functools.cached_property
+    def monomial_key(self) -> Callable[[tuple[int, ...]], tuple]:
+        """The sort key of a monomial: its degree, then each variable's
+        place in the precedence. Built once per order."""
+        place = {g: i for i, g in enumerate(self.precedence)}.__getitem__
+        return lambda m: (len(m), tuple(map(place, m)))
 
 
 def magnus_sign(w: Word, order: MagnusOrder, degree: int) -> Optional[int]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -73,7 +74,8 @@ def _hex_long_ints(x):
 
 
 def _word_list(words) -> list[str]:
-    return [render_word(w) for w in sorted(words)]
+    # each word's key computed once, not once per comparison
+    return [render_word(w) for w in sorted(words, key=operator.attrgetter("key"))]
 
 
 def _rational_json(q: Fraction):
@@ -192,8 +194,8 @@ def _oracle(selector: str):
         raise Refused(str(exc)) from None
 
 
-def _inferred_rank(text: str) -> int:
-    k = max(1, terms.max_var_index(text))
+def _inferred_rank(tokens: list[terms.Token]) -> int:
+    k = max(1, terms.max_var_index(tokens))
     if k > groups.MAX_RANK:
         raise Refused(
             f"the input names a generator of index over {groups.MAX_RANK},"
@@ -202,12 +204,12 @@ def _inferred_rank(text: str) -> int:
     return k
 
 
-def _statement_joinsets(text: str, k: int, max_term_nodes: int):
-    """Parse a statement over rank k into its meet of joins; raises
-    terms.ParseError, or Refused for a statement over the node limit or
-    nested too deeply."""
+def _statement_joinsets(text: str, tokens, k: int, max_term_nodes: int):
+    """Parse a statement over rank k, from its tokens when they are not
+    None, into its meet of joins; raises terms.ParseError, or Refused for
+    a statement over the node limit or nested too deeply."""
     try:
-        stmt = terms.parse_statement(text, k)
+        stmt = terms.parse_statement(text, k, tokens)
         nodes = terms.term_node_count(stmt.left) + terms.term_node_count(stmt.right)
         if nodes > max_term_nodes:
             raise Refused(
@@ -265,13 +267,15 @@ def _decide_statement(args, deadline) -> tuple:
     or still undecided ends the list as unknown, counting itself and the
     join sets after it as undecided. Raises BadCombination before the
     statement is parsed, then terms.ParseError or Refused."""
-    selector = args.group
+    selector, tokens = args.group, None
     if selector is None:
-        k = _inferred_rank(args.statement)
+        # the rank comes from the tokens, which the parser then reads
+        tokens = terms.tokenize(args.statement)
+        k = _inferred_rank(tokens)
         selector = f"zn:{k}" if args.variety == "abelian" else f"free:{k}"
     oracle = _oracle(selector)
     decide = _check_method(args.variety, oracle, args.method)
-    joins = _statement_joinsets(args.statement, oracle.k, args.max_term_nodes)
+    joins = _statement_joinsets(args.statement, tokens, oracle.k, args.max_term_nodes)
     results = []
     for i, join in enumerate(joins):
         try:
@@ -350,8 +354,12 @@ def run_decide(args) -> int:
 def run_extend_right(args) -> int:
     started = time.monotonic()
     try:
-        oracle = _oracle(args.group or f"free:{_inferred_rank(args.words)}")
-        word_set = terms.parse_word_set(args.words, oracle.k)
+        selector, tokens = args.group, None
+        if not selector:
+            tokens = terms.tokenize(args.words)
+            selector = f"free:{_inferred_rank(tokens)}"
+        oracle = _oracle(selector)
+        word_set = terms.parse_word_set(args.words, oracle.k, tokens)
     except RecursionError:
         # the parser recurses once per level of parentheses
         return _refused(Refused("word set nested too deeply"))

@@ -12,6 +12,9 @@ Grammar (whitespace insignificant)::
 
 Meet and join associate left; "^-1" binds tightest. Word-set literals
 reuse the prod production inside braces: "{x*y, y^-1}".
+
+The normalization to a meet of joins runs on letter tuples, as in
+``words``; each join set becomes a frozenset of Words once, at the end.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
-from .words import IDENTITY, Word, generator_name
+from .words import IDENTITY, Word, generator_name, reduced_word
 
 
 @dataclass(frozen=True)
@@ -76,65 +79,67 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<le><=)
-      | (?P<eq>=)
-      | (?P<meet>/\\)
-      | (?P<join>\\/)
-      | (?P<inv>\^-1)
-      | (?P<star>\*)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<lbrace>\{)
-      | (?P<rbrace>\})
-      | (?P<comma>,)
-      | (?P<var>x[0-9]+|[xyz])
-      | (?P<ident>e)
-    """,
-    re.VERBOSE,
-)
+# a whitespace run, a token of more than one character, or any single
+# character: the kinds table names the tokens, and any other character is
+# refused
+_TOKEN_RE = re.compile(r"\s+|<=|=|/\\|\\/|\^-1|x[0-9]+|.", re.DOTALL)
+
+_KINDS = {
+    "<=": "le", "=": "eq", "/\\": "meet", "\\/": "join", "^-1": "inv",
+    "*": "star", "(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace",
+    ",": "comma", "e": "ident", "x": "var", "y": "var", "z": "var",
+}
+
+Token = tuple[str, str, int]  # kind, text, offset
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str) -> list[Token]:
+    """The text's tokens, whitespace left out, then an "end" token at the
+    text's length; raises ParseError at a character no token starts with."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KINDS.get(tok)
+        if kind is None:
+            if tok.isspace():
+                pos += len(tok)
+                continue
+            if len(tok) == 1:
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            kind = "var"  # x and its digits
+        tokens.append((kind, tok, pos))
+        pos += len(tok)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, rank: int):
-        self.tokens = _tokenize(text)
+    """Recursive descent over the text's tokens (given, or tokenized here),
+    read by index. Each level of parentheses costs the five calls term,
+    meet, join, prod and atom; that sets the depth at which the
+    interpreter's recursion limit stops a statement, which the CLI refuses
+    as nested too deeply."""
+
+    def __init__(self, text: str, rank: int, tokens: Optional[list[Token]] = None):
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.rank = rank
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str) -> None:
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
         if tok[0] != kind:
             raise ParseError(f"expected {what}", tok[2])
-        return self.take()
+        self.i += 1
+
+    def end(self) -> None:
+        kind, _, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError("trailing input", pos)
 
     def var_index(self, text: str, pos: int) -> int:
         index = _generator_index(text)
         if index == 0:
-            raise ParseError("x0 is not a generator", pos)
+            raise ParseError(f"{text} is not a generator", pos)
         if index > self.rank:
             raise ParseError(
                 f"variable {text} exceeds rank {self.rank}", pos
@@ -146,41 +151,43 @@ class _Parser:
 
     def parse_meet(self) -> Term:
         t = self.parse_join()
-        while self.peek()[0] == "meet":
-            self.take()
+        tokens = self.tokens
+        while tokens[self.i][0] == "meet":
+            self.i += 1
             t = Meet(t, self.parse_join())
         return t
 
     def parse_join(self) -> Term:
         t = self.parse_prod()
-        while self.peek()[0] == "join":
-            self.take()
+        tokens = self.tokens
+        while tokens[self.i][0] == "join":
+            self.i += 1
             t = Join(t, self.parse_prod())
         return t
 
     def parse_prod(self) -> Term:
         t = self.parse_atom()
-        while self.peek()[0] == "star":
-            self.take()
+        tokens = self.tokens
+        while tokens[self.i][0] == "star":
+            self.i += 1
             t = Prod(t, self.parse_atom())
         return t
 
     def parse_atom(self) -> Term:
-        kind, text, pos = self.peek()
-        if kind == "ident":
-            self.take()
-            t: Term = Identity()
-        elif kind == "var":
-            self.take()
-            t = Var(self.var_index(text, pos))
+        tokens = self.tokens
+        kind, text, pos = tokens[self.i]
+        self.i += 1
+        if kind == "var":
+            t: Term = Var(self.var_index(text, pos))
+        elif kind == "ident":
+            t = Identity()
         elif kind == "lpar":
-            self.take()
             t = self.parse_term()
             self.expect("rpar", "')'")
         else:
             raise ParseError("expected a term", pos)
-        while self.peek()[0] == "inv":
-            self.take()
+        while tokens[self.i][0] == "inv":
+            self.i += 1
             t = Inv(t)
         return t
 
@@ -188,27 +195,27 @@ class _Parser:
 def parse_term(text: str, rank: int) -> Term:
     p = _Parser(text, rank)
     t = p.parse_term()
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    p.end()
     return t
 
 
-def parse_statement(text: str, rank: int) -> Statement:
-    p = _Parser(text, rank)
+def parse_statement(
+    text: str, rank: int, tokens: Optional[list[Token]] = None
+) -> Statement:
+    """Parse a statement over the given rank; ``tokens`` are the text's
+    tokens when the caller has them already."""
+    p = _Parser(text, rank, tokens)
     left = p.parse_term()
-    kind, _, pos = p.peek()
+    kind, _, pos = p.tokens[p.i]
     if kind == "le":
         rel = "<="
     elif kind == "eq":
         rel = "="
     else:
         raise ParseError("expected '<=' or '='", pos)
-    p.take()
+    p.i += 1
     right = p.parse_term()
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    p.end()
     return Statement(rel, left, right)
 
 
@@ -236,26 +243,25 @@ def group_word(t: Term) -> Word:
 def parse_group_word(text: str, rank: int) -> Word:
     p = _Parser(text, rank)
     t = p.parse_prod()
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    p.end()
     return group_word(t)
 
 
-def parse_word_set(text: str, rank: int) -> frozenset[Word]:
-    """Parse a word-set literal such as "{x*y, y^-1, e}"."""
-    p = _Parser(text, rank)
+def parse_word_set(
+    text: str, rank: int, tokens: Optional[list[Token]] = None
+) -> frozenset[Word]:
+    """Parse a word-set literal such as "{x*y, y^-1, e}"; ``tokens`` are
+    the text's tokens when the caller has them already."""
+    p = _Parser(text, rank, tokens)
     p.expect("lbrace", "'{'")
     out = set()
-    if p.peek()[0] != "rbrace":
+    if p.tokens[p.i][0] != "rbrace":
         out.add(group_word(p.parse_prod()))
-        while p.peek()[0] == "comma":
-            p.take()
+        while p.tokens[p.i][0] == "comma":
+            p.i += 1
             out.add(group_word(p.parse_prod()))
     p.expect("rbrace", "'}'")
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    p.end()
     return frozenset(out)
 
 
@@ -276,13 +282,12 @@ def _generator_index(tok: str) -> int:
     return int(digits or "0") if len(digits) < 19 else sys.maxsize
 
 
-def max_var_index(text: str) -> int:
-    """Largest generator index mentioned in the text, 0 if none."""
-    best = 0
-    for kind, tok, _ in _tokenize(text)[:-1]:
-        if kind == "var":
-            best = max(best, _generator_index(tok))
-    return best
+def max_var_index(tokens: list[Token]) -> int:
+    """Largest generator index among the tokens, 0 if none."""
+    return max(
+        (_generator_index(tok) for kind, tok, _ in tokens if kind == "var"),
+        default=0,
+    )
 
 
 def render(t: Term) -> str:
@@ -312,48 +317,59 @@ def render(t: Term) -> str:
     return go(t, 0)
 
 
-def _dedup(joins: list[JoinSet]) -> list[JoinSet]:
-    seen = set()
-    out = []
-    for j in joins:
-        if j not in seen:
-            seen.add(j)
-            out.append(j)
-    return out
+# join sets as frozensets of letter tuples; repeats are dropped through
+# dict.fromkeys, which keeps each join set's first place
 
 
-def _combine_join(a: list[JoinSet], b: list[JoinSet]) -> list[JoinSet]:
+def _combine_join(a: list[frozenset], b: list[frozenset]) -> list[frozenset]:
     # join of two meets distributes: (/\ A_i) \/ (/\ B_j) = /\_{i,j} (A_i u B_j)
-    return _dedup([ja | jb for ja in a for jb in b])
+    return list(dict.fromkeys([ja | jb for ja in a for jb in b]))
 
 
-def _combine_product(a: list[JoinSet], b: list[JoinSet]) -> list[JoinSet]:
-    # group product distributes over meet and join on both sides
-    return _dedup(
-        [frozenset(u * v for u in ja for v in jb) for ja in a for jb in b]
-    )
+def _combine_product(a: list[frozenset], b: list[frozenset]) -> list[frozenset]:
+    # group product distributes over meet and join on both sides; u*v
+    # cancels at the seam only, as u and v are reduced
+    out = []
+    for ja in a:
+        for jb in b:
+            products = set()
+            for u in ja:
+                if not u:
+                    products.update(jb)
+                    continue
+                n, head = len(u), -u[-1]
+                for v in jb:
+                    if v and v[0] == head:
+                        i, stop = 1, min(n, len(v))
+                        while i < stop and u[n - 1 - i] == -v[i]:
+                            i += 1
+                        products.add(u[: n - i] + v[i:])
+                    else:
+                        products.add(u + v)
+            out.append(frozenset(products))
+    return list(dict.fromkeys(out))
 
 
-def _moj(t: Term, inverted: bool) -> list[JoinSet]:
-    if isinstance(t, Identity):
-        return [frozenset({IDENTITY})]
+def _moj(t: Term, inverted: bool) -> list[frozenset]:
+    # node kinds in the order of their frequency in typical statements
     if isinstance(t, Var):
-        l = -t.index if inverted else t.index
-        return [frozenset({Word((l,))})]
+        return [frozenset({(-t.index if inverted else t.index,)})]
     if isinstance(t, Inv):
         return _moj(t.arg, not inverted)
     if isinstance(t, Prod):
         if inverted:
             return _combine_product(_moj(t.right, True), _moj(t.left, True))
         return _combine_product(_moj(t.left, False), _moj(t.right, False))
+    if isinstance(t, Join):
+        if inverted:
+            return list(dict.fromkeys(_moj(t.left, True) + _moj(t.right, True)))
+        return _combine_join(_moj(t.left, False), _moj(t.right, False))
+    if isinstance(t, Identity):
+        return [frozenset({()})]
     if isinstance(t, Meet):
         if inverted:
             return _combine_join(_moj(t.left, True), _moj(t.right, True))
-        return _dedup(_moj(t.left, False) + _moj(t.right, False))
-    if isinstance(t, Join):
-        if inverted:
-            return _dedup(_moj(t.left, True) + _moj(t.right, True))
-        return _combine_join(_moj(t.left, False), _moj(t.right, False))
+        return list(dict.fromkeys(_moj(t.left, False) + _moj(t.right, False)))
     raise TypeError(f"unknown term node {t!r}")
 
 
@@ -363,9 +379,10 @@ def to_meet_of_joins(t: Term) -> MeetOfJoins:
     Inverses are pushed through lattice operations by the dual laws,
     products distribute over meet and join on both sides, and joins
     then distribute under meets. The result is equivalent to ``t`` in
-    every lattice-ordered group; it may be exponentially larger.
+    every lattice-ordered group; it may be exponentially larger. The
+    work runs on letter tuples; each join set becomes Words at the end.
     """
-    return tuple(_moj(t, False))
+    return tuple(frozenset(map(reduced_word, j)) for j in _moj(t, False))
 
 
 def inequation_to_joinsets(s: Term, t: Term) -> MeetOfJoins:

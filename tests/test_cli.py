@@ -21,7 +21,9 @@ from ellgroups.cli import (
     METHODS,
     main,
 )
+from ellgroups import terms
 from ellgroups.groups import IntLatticeOracle
+from ellgroups.terms import tokenize
 from ellgroups.words import render_word, word
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "worked_examples.corpus"
@@ -893,6 +895,37 @@ class TestRepeatedCalls:
             assert strip_millis(json.loads(out)) == strip_millis(
                 json.loads(proc.stdout)
             ), argv
+
+
+class TestTokenizedOnce:
+    # with no --group the rank comes from the tokens, which the parser
+    # then reads, so each input is tokenized once
+    @pytest.mark.parametrize(
+        "argv", [("decide", r"e <= x \/ y"), ("extend-right", "{x, y}")]
+    )
+    def test_one_tokenize_call(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(terms, "tokenize", counted)
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert calls == [argv[-1]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("decide", "e <= x101 $"), ("extend-right", "{x101, $}"),
+         ("decide", "--variety", "abelian", "--method", "cis", "e <= x101 $")],
+    )
+    def test_bad_character_wins(self, capsys, argv):
+        # a bad character is reported ahead of a rank over the cap and of
+        # a bad method
+        code = main(list(argv))
+        assert code == EXIT_PARSE
+        assert "parse error: unexpected character '$'" in capsys.readouterr().err
 
 
 class TestOptions:

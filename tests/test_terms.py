@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +19,13 @@ from ellgroups.terms import (
     parse_term,
     parse_word_set,
     render,
+    statement_to_joinsets,
     to_meet_of_joins,
+    tokenize,
 )
 from ellgroups.words import IDENTITY, Word
+
+import term_oracles as oracles
 
 
 def W(s, k=2):
@@ -234,3 +240,97 @@ class TestReductionToJoinsets:
     def test_distinct_generators_give_nontrivial_joinset(self):
         joins = inequation_to_joinsets(X, Y)
         assert frozenset({W("y*x^-1")}) in joins
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("e <= x0", "x0 is not a generator", 5),
+            ("e <= x00", "x00 is not a generator", 5),
+            ("e <= y*x000", "x000 is not a generator", 7),
+            ("e <= x4", "variable x4 exceeds rank 3", 5),
+            ("e <= x01*x04", "variable x04 exceeds rank 3", 9),
+        ],
+    )
+    def test_generator_named_as_written(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_statement(text, 3)
+        assert str(exc.value) == f"{message} (at offset {position})"
+        assert exc.value.position == position
+
+
+def random_term(rng, rank, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Identity() if rng.random() < 0.15 else Var(rng.randint(1, rank))
+    node = rng.choice((Inv, Prod, Prod, Meet, Join))
+    if node is Inv:
+        return Inv(random_term(rng, rank, depth - 1))
+    return node(random_term(rng, rank, depth - 1), random_term(rng, rank, depth - 1))
+
+
+# the spellings of a generator, and the whitespace, of a statement's variants
+SPELLINGS = {"x": ("x", "x1", "x01"), "y": ("y", "x2"), "z": ("z", "x3", "x003")}
+SPACES = ("", "", " ", "  ", "\t", "\n ")
+
+
+def respelled(rng, text):
+    """The statement written with other generator spellings and other
+    whitespace between its tokens."""
+    parts = []
+    for kind, tok, _ in oracles.tokenize(text)[:-1]:
+        parts.append(rng.choice(SPELLINGS[tok]) if kind == "var" else tok)
+    return "".join(p + rng.choice(SPACES) for p in parts)
+
+
+def random_statements(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 3)
+        stmt = Statement(
+            rng.choice(("<=", "=")),
+            random_term(rng, rank, rng.randint(0, 2)),
+            random_term(rng, rank, rng.randint(0, 6)),
+        )
+        yield rank, stmt, respelled(rng, f"{render(stmt.left)} {stmt.relation} {render(stmt.right)}")
+
+
+class TestAgainstTheEarlierFrontEnd:
+    # tests/term_oracles.py holds the regex-loop tokenizer and the Word-level
+    # normalization that the one-pass tokenizer and the letter-tuple
+    # normalization replaced
+
+    def test_tokens_and_join_sets(self):
+        for rank, stmt, text in random_statements(2018, 1000):
+            assert tokenize(text) == oracles.tokenize(text)
+            parsed = parse_statement(text, rank)
+            assert parsed == stmt
+            assert statement_to_joinsets(parsed) == oracles.statement_to_joinsets(stmt)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("e <=", "expected a term", 4),
+            ("e <= (x", "expected ')'", 7),
+            ("e <= x )", "trailing input", 7),
+            ("e < x", "unexpected character '<'", 2),
+            ("e <= x ^ -1", "unexpected character '^'", 7),
+            ("e <= ｘ", "unexpected character 'ｘ'", 5),
+            ("e <= x \\ y", "unexpected character '\\\\'", 7),
+            ("e <= x*z", "variable z exceeds rank 2", 7),
+            ("e = = x", "expected a term", 4),
+        ],
+    )
+    def test_parse_errors(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_statement(text, 2)
+        assert str(exc.value) == f"{message} (at offset {position})"
+        assert exc.value.position == position
+        try:
+            expected = oracles.tokenize(text)
+        except ParseError as old:
+            with pytest.raises(ParseError) as new:
+                tokenize(text)
+            assert (str(new.value), new.value.position) == (str(old), old.position)
+        else:
+            assert tokenize(text) == expected
