@@ -355,7 +355,7 @@ def run_extend_right(args) -> int:
     started = time.monotonic()
     try:
         selector, tokens = args.group, None
-        if not selector:
+        if selector is None:
             tokens = terms.tokenize(args.words)
             selector = f"free:{_inferred_rank(tokens)}"
         oracle = _oracle(selector)

@@ -204,7 +204,7 @@ def element_sort_key(oracle, g: Element) -> tuple:
     return (oracle.length(g), oracle.to_word(g).key)
 
 
-def _oracle_products(multiply, length, lefts, rights, radius, current, new) -> None:
+def _oracle_products(multiply, length, lefts, rights, radius, current, new, goal) -> bool:
     # words.round_products on the oracle's arithmetic
     for a in lefts:
         for b in rights:
@@ -212,6 +212,9 @@ def _oracle_products(multiply, length, lefts, rights, radius, current, new) -> N
             if c not in current and length(c) <= radius:
                 current.add(c)
                 new[c] = (a, b)
+                if c == goal:
+                    return True
+    return False
 
 
 # left factors between two reads of the clock in a closure with a deadline
@@ -233,11 +236,13 @@ def bounded_closure_with_parents(
     Frontier rounds, in ascending word order: a round multiplies every
     older element by every fresh one (new in the last round), then every
     fresh element by every older one that is not fresh. Elements longer
-    than the radius are kept. Before each round the closure stops once the
-    identity is in it, with ``stop_at_identity``, or once it holds
-    ``size_cap`` elements (a deterministic under-approximation). The one
-    closure loop for every group: over a free group it runs on letter
-    tuples (``words.round_products``), building Words at the end. With a
+    than the radius are kept. With ``stop_at_identity`` the closure stops
+    at the first product equal to the identity, mid-round, so its parents
+    are the first found in that nested order (or at once when the input
+    holds it). Before each round it stops once it holds ``size_cap``
+    elements (a deterministic under-approximation). The one closure loop
+    for every group: over a free group it runs on letter tuples
+    (``words.round_products``), building Words at the end. With a
     ``deadline`` (a ``time.monotonic()`` instant), it reads the clock
     between blocks of left factors and raises ``PastDeadline`` past it.
     """
@@ -250,14 +255,14 @@ def bounded_closure_with_parents(
     else:
         identity, key = oracle.identity, functools.partial(element_sort_key, oracle)
         products = functools.partial(_oracle_products, oracle.multiply, oracle.length)
+    # None is no element: without a goal the rounds run to the end
+    goal = identity if stop_at_identity else None
     keys = {g: key(g) for g in elements}
     current = set(keys)
     parents: dict = {}
     older = sorted(current, key=keys.__getitem__)
     fresh = older
-    while fresh:
-        if stop_at_identity and identity in current:
-            break
+    while fresh and goal not in current:
         if size_cap is not None and len(current) >= size_cap:
             break
         # products with e add nothing
@@ -266,13 +271,23 @@ def bounded_closure_with_parents(
         fresh_set = set(fresh)
         new: dict = {}
         rest = [b for b in lefts if b not in fresh_set]
-        for outer, inner in ((lefts, rights), (rights, rest)):
-            step = _CLOCK_BLOCK if deadline is not None else len(outer) or 1
-            for i in range(0, len(outer), step):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise PastDeadline
-                products(outer[i : i + step], inner, radius, current, new)
+        # lefts holds rights and rest: one step covers either outer list
+        step = _CLOCK_BLOCK if deadline is not None else len(lefts) or 1
+        blocks = (
+            (outer[i : i + step], inner)
+            for outer, inner in ((lefts, rights), (rights, rest))
+            for i in range(0, len(outer), step)
+        )
+        found = False
+        for block, inner in blocks:
+            if deadline is not None and time.monotonic() > deadline:
+                raise PastDeadline
+            found = products(block, inner, radius, current, new, goal)
+            if found:
+                break
         parents.update(new)
+        if found:
+            break
         for c in new:
             keys[c] = key(c)
         fresh = sorted(new, key=keys.__getitem__)

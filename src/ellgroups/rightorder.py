@@ -394,15 +394,15 @@ def _interior(k: int, l: int) -> tuple[list, list]:
     return letters, list(map(inverse_letters, letters))
 
 
-def _close(l: int, cone: Iterable[tuple], delta: Iterable[tuple]) -> set[tuple]:
-    """The closure in the l-ball of a product-closed cone of letter tuples
-    with delta adjoined.
+def _close(l: int, cone: set[tuple], delta: Iterable[tuple]) -> set[tuple]:
+    """Close a product-closed cone of letter tuples, in place, in the
+    l-ball with delta adjoined, and return it.
 
     Semi-naive: each round multiplies only the elements new in the last
     round, in both orders, against the cone, with the new element as the
-    outer loop. The closure ends, unfinished, as soon as e enters the cone.
+    outer loop. The closure ends, unfinished, at the first product equal
+    to e, with e added to the cone (or at once when delta holds e).
     """
-    cone = set(cone)
     delta = set(delta) - cone
     while delta:
         cone |= delta
@@ -423,6 +423,9 @@ def _close(l: int, cone: Iterable[tuple], delta: Iterable[tuple]) -> set[tuple]:
                         i += 1
                     if n + m - 2 * i <= l:
                         c = a[: n - i] + b[i:]
+                        if not c:
+                            cone.add(c)
+                            return cone
                         if c not in cone:
                             fresh.add(c)
                 elif m <= short:
@@ -435,6 +438,9 @@ def _close(l: int, cone: Iterable[tuple], delta: Iterable[tuple]) -> set[tuple]:
                         i += 1
                     if n + m - 2 * i <= l:
                         c = b[: m - i] + a[i:]
+                        if not c:
+                            cone.add(c)
+                            return cone
                         if c not in cone:
                             fresh.add(c)
                 elif m <= short:
@@ -471,9 +477,12 @@ def clay_smith(
 
     Cones are sets of letter tuples, and Words are built only for the
     returned order; the (l-1)-ball and its inverses are listed once per
-    (k, l). A branch copies its parent's cone, which is already closed,
-    and re-closes it from the one adjoined element only, stopping as soon
-    as e enters. Raises ValueError on a word with a letter outside F(k).
+    (k, l). A branch re-closes its parent's cone, which is already closed,
+    from the one adjoined element only, stopping at the first product
+    equal to e. The positive branch closes a copy, since its parent waits
+    on ``pending`` for the negative one; the negative branch closes the
+    popped parent in place. Raises ValueError on a word with a letter
+    outside F(k).
 
     With a ``deadline`` (a ``time.monotonic()`` instant), each branch
     checks the clock before it closes, and one past it raises
@@ -485,7 +494,7 @@ def clay_smith(
             raise ValueError(f"{w} is not a word of F({k})")
     l = max(1, max((len(w) for w in start), default=1))
     interior, inverses = _interior(k, l)
-    cone = _close(l, (), (w.letters for w in start))
+    cone = _close(l, set(), (w.letters for w in start))
     # the (parent cone, t) of every branch whose negative side, the
     # inverse of interior[t], is still to be tried
     pending: list[tuple[set[tuple], int]] = []
@@ -503,6 +512,7 @@ def clay_smith(
                 positives = frozenset(map(reduced_word, cone))
                 return TruncatedRightOrder(rank=k, l=l, positives=positives)
             pending.append((cone, t))
+            cone = set(cone)
             adjoined = interior[t]
         if deadline is not None and time.monotonic() > deadline:
             raise PastDeadline

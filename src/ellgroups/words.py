@@ -114,11 +114,12 @@ def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-l for l in reversed(letters))
 
 
-def round_products(lefts, rights, radius: int, current: set, new: dict) -> None:
+def round_products(lefts, rights, radius: int, current: set, new: dict, goal) -> bool:
     """One closure round's products on letter tuples: every a*b, a from
     lefts and b from rights in that nested order, of length <= radius and
     not yet in current goes into current, and into new with (a, b) as its
-    parents. e is in neither list."""
+    parents. e is in neither list. Returns True, at once, when the product
+    added is goal (None for no goal); False when the products run out."""
     for a in lefts:
         n = len(a)
         head, short = -a[-1], radius - n
@@ -137,6 +138,9 @@ def round_products(lefts, rights, radius: int, current: set, new: dict) -> None:
             if c not in current:
                 current.add(c)
                 new[c] = (a, b)
+                if c == goal:
+                    return True
+    return False
 
 
 def invert(a: Word) -> Word:

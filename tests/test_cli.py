@@ -371,18 +371,34 @@ class TestRefusedInput:
         assert elapsed < 2
 
     def test_budget_binds_inside_the_presented_closure(self):
-        # the closure certificate of this join takes about 5 million oracle
-        # products, for seconds, before it finds e
+        # with 30 x's the closure certificate of this join runs for about
+        # 3 s of oracle products before the first one equal to e
         started = time.monotonic()
         proc = run_limited(
             "decide", "--group", "zn:3", "--budget-ms", "200",
-            "e <= " + "x*" * 20 + r"y*z \/ x^-1 \/ y^-1 \/ z^-1", seconds=30,
+            "e <= " + "x*" * 30 + r"y*z \/ x^-1 \/ y^-1 \/ z^-1", seconds=30,
         )
         elapsed = time.monotonic() - started
         assert proc.returncode == EXIT_OK, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["verdict"] == "unknown"
         assert [c["budgets"] for c in doc["certificate"]] == [{"budget_ms": 200}]
+        assert elapsed < 2
+
+    def test_presented_closure_ends_at_the_first_identity(self):
+        # with 20 x's the closure certificate ends at its first product
+        # equal to e, in a fraction of a second; the rest of that round
+        # would take seconds more
+        started = time.monotonic()
+        proc = run_limited(
+            "decide", "--group", "zn:3",
+            "e <= " + "x*" * 20 + r"y*z \/ x^-1 \/ y^-1 \/ z^-1", seconds=30,
+        )
+        elapsed = time.monotonic() - started
+        assert proc.returncode == EXIT_OK, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "valid"
+        assert [c["method"] for c in doc["certificate"]] == ["closure"]
         assert elapsed < 2
 
     def test_budget_binds_inside_the_combination_search(self):
@@ -496,7 +512,7 @@ class TestRefusedInput:
 
     @pytest.mark.parametrize(
         "group",
-        ["free:0", "zn:0", "klein:2", "free:x", "free:", "free:-1", "free: 2",
+        ["", "free:0", "zn:0", "klein:2", "free:x", "free:", "free:-1", "free: 2",
          "free:101", "free:1000000", "free:99999999999999999999"],
     )
     @pytest.mark.parametrize(

@@ -301,7 +301,8 @@ def _walk(tree):
 def generic_closure(elements, radius, oracle, stop_at_identity=False, size_cap=None):
     # the closure through the oracle's arithmetic alone, sort keys
     # recomputed at every sort, as it ran for every group before the
-    # free-group letter-tuple kernel
+    # free-group letter-tuple kernel; with stop_at_identity it ends at the
+    # first product equal to e, in the same nested order
     key = lambda g: element_sort_key(oracle, g)
     current = set(elements)
     parents = {}
@@ -322,6 +323,8 @@ def generic_closure(elements, radius, oracle, stop_at_identity=False, size_cap=N
             c = oracle.multiply(a, b)
             if oracle.length(c) <= radius and c not in current and c not in new:
                 new[c] = (a, b)
+                if stop_at_identity and c == oracle.identity:
+                    break
         parents.update(new)
         current.update(new)
         fresh = sorted(new, key=key)

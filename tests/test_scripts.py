@@ -30,6 +30,11 @@ def test_scripts_run():
     proc = run_script("cross_validate.py", "--sample", "300", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert "mismatches: 0" in proc.stdout.splitlines()
+    # radius 4: inputs up to length 4, whose truncated orders have more
+    # branches that die when e enters them
+    proc = run_script("cross_validate.py", "--radius", "4", "--sample", "300", "--seed", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "mismatches: 0" in proc.stdout.splitlines()
 
 
 def test_traced_benchmark_installs_every_span(tmp_path):
